@@ -12,11 +12,10 @@ unimodularly equivalent polygons as separate classes.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .classify import (
     HyperellipticForm,
@@ -47,7 +46,15 @@ class CandidateFrame:
         return self.fixed | self.optional
 
 
-def _candidate_rows(triangle_filter: bool) -> set[Point]:
+def candidate_point_set() -> CandidateFrame:
+    """The 30 points that can appear in a panoptigon of lattice width >= 3.
+
+    Derivation, with (0,0) as panoptigon point and the bottom row pinned to
+    start at (-1,-1): height -2 admits only odd x in [-3,9]; height -1 only
+    x in [-1,5]; height 0 only |x| <= 1; above the axis x is confined to
+    [-y-1, 1], the point must be origin-visible, and the triangle it spans
+    with the fixed points must not force an invisible point.
+    """
     pts: set[Point] = set()
     pts.update((x, -2) for x in range(-3, 10) if x % 2 != 0)
     pts.update((x, -1) for x in range(-1, 6))
@@ -57,29 +64,10 @@ def _candidate_rows(triangle_filter: bool) -> set[Point]:
         for x in range(-y - 1, 2):
             if not is_visible((0, 0), (x, y)):
                 continue
-            if triangle_filter:
-                tri = convex_hull(anchor + [(x, y)])
-                if not all(is_visible((0, 0), p) for p in tri.lattice_point_set):
-                    continue
-            pts.add((x, y))
-    return pts
-
-
-def candidate_point_set() -> CandidateFrame:
-    """The 30 points that can appear in a panoptigon of lattice width >= 3.
-
-    Derivation, with (0,0) as panoptigon point and the bottom row pinned to
-    start at (-1,-1): height -2 admits only odd x in [-3,9]; height -1 only
-    x in [-1,5]; height 0 only |x| <= 1; above the axis x is confined to
-    [-y-1, 1], the point must be origin-visible, and the triangle it spans
-    with the fixed points must not force an invisible point.  If that local
-    filter ever disagrees with the expected total of 30 we fall back to the
-    coarser superset; over-included candidates are harmless because the
-    enumeration re-checks visibility through the convex closure.
-    """
-    pts = _candidate_rows(triangle_filter=True)
-    if len(pts) != 30:
-        pts = _candidate_rows(triangle_filter=False)
+            tri = convex_hull(anchor + [(x, y)])
+            if all(is_visible((0, 0), p) for p in tri.lattice_point_set):
+                pts.add((x, y))
+    assert len(pts) == 30, "the derivation above leaves exactly 30 points"
     return CandidateFrame(FIXED_POINTS, frozenset(pts) - FIXED_POINTS)
 
 
@@ -89,93 +77,55 @@ def _closure(points: Iterable[Point], universe: frozenset[Point]) -> Optional[fr
     return closed if closed <= universe else None
 
 
-def _grow(seeds: list[frozenset[Point]], universe: frozenset[Point]) -> set[frozenset[Point]]:
-    """All convex-closed supersets (within the universe) of the seed states."""
+def convex_closed_sets(
+    universe: frozenset[Point],
+    seeds: Iterable[frozenset[Point]],
+    keep: Optional[Callable[[frozenset[Point]], bool]] = None,
+) -> set[frozenset[Point]]:
+    """All convex-closed supersets (within the universe) of the seed states.
+
+    A state grows by one universe point at a time and is replaced by the
+    lattice points of its convex hull; hulls that escape the universe are
+    dropped, and so are states for which ``keep`` returns False (the seeds
+    themselves are not tested).  Every convex-closed set containing a seed
+    is reached, provided ``keep`` holds on all of its convex-closed subsets
+    that contain that seed.
+    """
     visited: set[frozenset[Point]] = set(seeds)
-    stack = list(seeds)
+    stack = list(visited)
     while stack:
         state = stack.pop()
         for p in universe - state:
             nxt = _closure(state | {p}, universe)
-            if nxt is not None and nxt not in visited:
-                visited.add(nxt)
-                stack.append(nxt)
+            if nxt is None or nxt in visited or (keep is not None and not keep(nxt)):
+                continue
+            visited.add(nxt)
+            stack.append(nxt)
     return visited
 
 
-def enumerate_raw(threads: int = 1) -> set[Polygon]:
+def enumerate_raw() -> set[Polygon]:
     """All polygons on the 30 candidate points containing the 5 fixed ones.
 
-    Convex-closed point sets are grown one candidate at a time; sets whose
-    convex closure escapes the candidate universe are pruned.  Kept are the
-    two-dimensional results with at least one interior point and lattice
-    width >= 3 (the subject of the census; thinner polygons occur in the
-    frame but belong to the separately classified width-1/2 families).
-    Every output is automatically a panoptigon with panoptigon point (0,0).
+    Bound: every panoptigon of lattice width and lattice diameter >= 3 is
+    equivalent to one with panoptigon point (0,0) that contains the 5 fixed
+    points and lies inside the 30-point frame (the derivation is in
+    ``candidate_point_set``; diameter 2 is covered by ``sporadic_ld2``).
+    The frame's convex-closed sets containing the fixed points are walked
+    with ``convex_closed_sets``.  Kept are the two-dimensional results with at
+    least one interior point and lattice width >= 3 (the subject of the
+    census; thinner polygons occur in the frame but belong to the
+    separately classified width-1/2 families).  Every output is
+    automatically a panoptigon with panoptigon point (0,0).
     """
     frame = candidate_point_set()
     universe = frame.universe
     seed = _closure(frame.fixed, universe)
     assert seed is not None
-    if threads > 1:
-        level1 = [seed]
-        for p in sorted(universe - seed):
-            nxt = _closure(seed | {p}, universe)
-            if nxt is not None:
-                level1.append(nxt)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(lambda s: _grow([s], universe), level1)
-        states: set[frozenset[Point]] = set()
-        for part in parts:
-            states |= part
-    else:
-        states = _grow([seed], universe)
     out = set()
-    for s in states:
+    for s in convex_closed_sets(universe, [seed]):
         poly = convex_hull(s)
         if poly.dimension == 2 and poly.genus >= 1 and lattice_width(poly)[0] >= 3:
-            out.add(poly)
-    return out
-
-
-def raw_filter_diagnostics(threads: int = 1) -> dict:
-    """Counts by filter stage, for diagnosing the raw-census number.
-
-    The width filter belongs to the enumeration (the census targets
-    polygons of lattice width >= 3); every non-hyperelliptic class is
-    unaffected by it, since interior dimension 2 forces width >= 3.
-    """
-    frame = candidate_point_set()
-    states = _grow([_closure(frame.fixed, frame.universe)], frame.universe)
-    polys = [convex_hull(s) for s in states]
-    dim2 = [p for p in polys if p.dimension == 2]
-    positive_genus = [p for p in dim2 if p.genus >= 1]
-    wide = [p for p in positive_genus if lattice_width(p)[0] >= 3]
-    return {
-        "convex_closed_sets": len(states),
-        "dimension_2": len(dim2),
-        "genus_ge_1": len(positive_genus),
-        "lattice_width_ge_3": len(wide),
-    }
-
-
-def slow_enumerate_raw() -> set[Polygon]:
-    """Direct 2^25 subset sweep; the slow oracle behind --slow-oracle.
-
-    Checks every subset of the 25 optional points against the convex-closure
-    condition.  Takes on the order of an hour; use enumerate_raw for real work.
-    """
-    frame = candidate_point_set()
-    optional = sorted(frame.optional)
-    base = sorted(frame.fixed)
-    n = len(optional)
-    out = set()
-    for mask in range(1 << n):
-        pts = base + [optional[i] for i in range(n) if mask >> i & 1]
-        poly = convex_hull(pts)
-        if poly.dimension != 2 or len(poly.vertices) > len(pts):
-            continue
-        if poly.genus >= 1 and poly.lattice_point_set == frozenset(pts) and lattice_width(poly)[0] >= 3:
             out.add(poly)
     return out
 
@@ -255,13 +205,13 @@ def records_to_ndjson(records: Iterable[CensusRecord]) -> str:
     return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in sort_records(records))
 
 
-def nonhyperelliptic_census(threads: int = 1, raw: Optional[set[Polygon]] = None) -> list[CensusRecord]:
+def nonhyperelliptic_census(raw: Optional[set[Polygon]] = None) -> list[CensusRecord]:
     """The 67 classes of non-hyperelliptic panoptigons with diameter >= 3.
 
     The quoted count of 69 splits two pairs of equivalent polygons.
     """
     if raw is None:
-        raw = enumerate_raw(threads=threads)
+        raw = enumerate_raw()
     classes: dict[Polygon, Polygon] = {}
     for poly in raw:
         if not is_hyperelliptic(poly):
@@ -280,29 +230,14 @@ SPORADIC_LD2_VERTICES = (
 SPORADIC_CONTAINER_TRAPEZOIDS = ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _subpolygons_ld_le2(container: Polygon) -> set[frozenset[Point]]:
-    """Convex-closed subsets of the container with no 4 collinear points."""
-    universe = container.lattice_point_set
-
-    def small_diameter(state: frozenset[Point]) -> bool:
-        pts = sorted(state)
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                if gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) >= 3:
-                    return False
-        return True
-
-    visited: set[frozenset[Point]] = {frozenset({p}) for p in universe}
-    stack = list(visited)
-    while stack:
-        state = stack.pop()
-        for p in universe - state:
-            nxt = _closure(state | {p}, universe)
-            if nxt is None or nxt in visited or not small_diameter(nxt):
-                continue
-            visited.add(nxt)
-            stack.append(nxt)
-    return visited
+def _small_diameter(state: frozenset[Point]) -> bool:
+    """No two points of the set span 4 collinear lattice points."""
+    pts = sorted(state)
+    for i, p in enumerate(pts):
+        for q in pts[i + 1 :]:
+            if gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) >= 3:
+                return False
+    return True
 
 
 def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
@@ -325,7 +260,9 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
         for a, b in SPORADIC_CONTAINER_TRAPEZOIDS:
             container = relaxed_lattice(trapezoid(a, b))
             assert isinstance(container, Polygon)
-            for state in _subpolygons_ld_le2(container):
+            universe = container.lattice_point_set
+            seeds = [frozenset({p}) for p in universe]
+            for state in convex_closed_sets(universe, seeds, keep=_small_diameter):
                 poly = convex_hull(state)
                 if poly.dimension != 2:
                     continue
@@ -339,12 +276,13 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
     return sort_records(records)
 
 
-def full_panoptigon_census(threads: int = 1, exhaustive_sporadic: bool = False):
+def full_panoptigon_census(exhaustive_sporadic: bool = False, raw: Optional[set[Polygon]] = None):
     """(70 non-hyperelliptic records, 71 width->=3 records incl. T_3).
 
+    ``raw`` is the output of ``enumerate_raw``, enumerated here if omitted.
     The quoted 72/73 split two pairs of equivalent polygons.
     """
-    records = nonhyperelliptic_census(threads=threads) + sporadic_ld2(exhaustive=exhaustive_sporadic)
+    records = nonhyperelliptic_census(raw=raw) + sporadic_ld2(exhaustive=exhaustive_sporadic)
     nonhyp = sort_records(records)
     lw3plus = sort_records(nonhyp + [CensusRecord.from_polygon(standard_triangle(3))])
     return nonhyp, lw3plus
@@ -365,39 +303,32 @@ def census_summary(nonhyp: list[CensusRecord], lw3plus: list[CensusRecord], raw_
     }
 
 
-@lru_cache(maxsize=None)
-def genus1_classes(max_width: int = 40) -> list[Polygon]:
-    """All genus-1 polygons up to equivalence, by bounded strip enumeration.
+# Every genus-1 lattice polygon is equivalent to a subpolygon of one of
+# these three (Poonen & Rodriguez-Villegas, "Lattice polygons and the
+# number 12", Amer. Math. Monthly 107 (2000)).
+GENUS1_MAXIMAL_VERTICES = (
+    ((-1, -1), (2, -1), (-1, 2)),
+    ((-1, -1), (1, -1), (1, 1), (-1, 1)),
+    ((-1, -1), (3, -1), (-1, 1)),
+)
 
-    Genus-1 polygons fit (after normalization) in a strip of height 3, so we
-    enumerate convex-closed sets in [0, W] x [0, 3] and grow W until the
-    class count is stable for two consecutive widths.
+
+@lru_cache(maxsize=None)
+def genus1_classes() -> tuple[Polygon, ...]:
+    """All genus-1 polygons up to equivalence, as sorted canonical forms.
+
+    Bound: every genus-1 polygon is equivalent to a subpolygon of one of the
+    three maximal ones in ``GENUS1_MAXIMAL_VERTICES``, so walking their
+    convex-closed subsets and keeping the genus-1 ones finds every class.
     """
-    prev_counts: list[int] = []
-    classes: dict[Polygon, Polygon] = {}
-    for w in range(3, max_width + 1):
-        universe = frozenset((x, y) for x in range(w + 1) for y in range(4))
-        visited: set[frozenset[Point]] = {frozenset({p}) for p in universe}
-        stack = list(visited)
-        while stack:
-            state = stack.pop()
-            for p in universe - state:
-                nxt = _closure(state | {p}, universe)
-                if nxt is None or nxt in visited:
-                    continue
-                if convex_hull(nxt).genus > 1:
-                    continue
-                visited.add(nxt)
-                stack.append(nxt)
-        classes = {}
-        for state in visited:
+    classes: set[Polygon] = set()
+    for vertices in GENUS1_MAXIMAL_VERTICES:
+        universe = convex_hull(vertices).lattice_point_set
+        for state in convex_closed_sets(universe, [frozenset({p}) for p in universe]):
             poly = convex_hull(state)
             if poly.dimension == 2 and poly.genus == 1:
-                classes.setdefault(canonical_form(poly), poly)
-        prev_counts.append(len(classes))
-        if len(prev_counts) >= 3 and prev_counts[-1] == prev_counts[-2] == prev_counts[-3]:
-            return sorted(classes, key=lambda p: p.vertices)
-    raise AssertionError("genus-1 class count did not stabilize by width %d" % max_width)
+                classes.add(canonical_form(poly))
+    return tuple(sorted(classes, key=lambda p: p.vertices))
 
 
 def genus1_lw2_classes() -> list[Polygon]:

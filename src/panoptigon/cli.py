@@ -24,7 +24,6 @@ from .census import (
     maximal_lw3_count_formula,
     maximal_lw4,
     records_to_ndjson,
-    slow_enumerate_raw,
     sort_records,
 )
 from .classify import HyperellipticForm, hyperelliptic_normal_form, is_hyperelliptic, is_panoptigon
@@ -38,7 +37,7 @@ from .formats import (
     rational_polygon_to_json,
     resolve_polygon_source,
 )
-from .relaxation import NotLattice, is_maximal, relax, relaxed_lattice
+from .relaxation import RationalPolygon, is_maximal, relax
 from .render import RenderError, render_svg
 from .transform import canonical_form, lattice_diameter, lattice_width
 
@@ -71,7 +70,7 @@ class AnalysisReport:
     panoptigon: Optional[bool]
     panoptigon_points: tuple
     interior_polygon: Optional[Polygon]
-    relaxed_vertices: tuple
+    relaxed: Optional[RationalPolygon]
     relaxation_lattice: Optional[bool]
     maximal: Optional[bool]
     canonical: Optional[Polygon]
@@ -95,9 +94,9 @@ class AnalysisReport:
             "interior_polygon": None
             if self.interior_polygon is None
             else polygon_to_json(self.interior_polygon),
-            "relaxed": rational_polygon_to_json(relax(self.polygon))
-            if self.polygon.dimension == 2
-            else None,
+            "relaxed": None
+            if self.relaxed is None
+            else rational_polygon_to_json(self.relaxed),
             "relaxation_lattice": self.relaxation_lattice,
             "maximal": self.maximal,
             "canonical": None
@@ -122,7 +121,7 @@ def analyze_polygon(poly: Polygon) -> AnalysisReport:
             panoptigon=None,
             panoptigon_points=(),
             interior_polygon=None,
-            relaxed_vertices=(),
+            relaxed=None,
             relaxation_lattice=None,
             maximal=None,
             canonical=None,
@@ -140,8 +139,7 @@ def analyze_polygon(poly: Polygon) -> AnalysisReport:
         except ValueError:
             form = None
     report = is_panoptigon(poly)
-    relaxed = relaxed_lattice(poly)
-    lattice = not isinstance(relaxed, NotLattice)
+    relaxed = relax(poly)
     maximal = is_maximal(poly) if poly.genus >= 1 else None
     verdict = big_face_obstruction(poly) if poly.genus >= 2 else None
     return AnalysisReport(
@@ -156,8 +154,8 @@ def analyze_polygon(poly: Polygon) -> AnalysisReport:
         panoptigon=report.is_panoptigon,
         panoptigon_points=tuple(sorted(report.panoptigon_points)),
         interior_polygon=poly.interior_polygon(),
-        relaxed_vertices=tuple(relax(poly).vertices),
-        relaxation_lattice=lattice,
+        relaxed=relaxed,
+        relaxation_lattice=relaxed.is_lattice,
         maximal=maximal,
         canonical=canonical_form(poly),
         big_face_passes=None if verdict is None else verdict.passes,
@@ -249,13 +247,13 @@ def cmd_census(args) -> int:
         else:
             print("%s genus %d: %d polygons" % (kind, args.genus, len(records)))
     elif kind == "raw":
-        raw = slow_enumerate_raw() if args.slow_oracle else enumerate_raw(threads=args.threads)
+        raw = enumerate_raw()
         records = sort_records(CensusRecord.from_polygon(p) for p in raw)
         summary = {"kind": kind, "raw": len(raw)}
         print("raw census: %d polygons" % len(raw))
     else:  # nonhyperelliptic | full
-        raw = slow_enumerate_raw() if args.slow_oracle else enumerate_raw(threads=args.threads)
-        nonhyp, lw3plus = full_panoptigon_census(threads=args.threads)
+        raw = enumerate_raw()
+        nonhyp, lw3plus = full_panoptigon_census(raw=raw)
         summary = census_summary(nonhyp, lw3plus, len(raw))
         summary["kind"] = kind
         records = nonhyp if kind == "nonhyperelliptic" else lw3plus
@@ -343,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["raw", "nonhyperelliptic", "full", "maximal-lw3", "maximal-lw4"],
     )
     census.add_argument("--genus", type=int, help="genus for the maximal-* kinds")
-    census.add_argument("--threads", type=int, default=1, help="worker threads")
-    census.add_argument(
-        "--slow-oracle",
-        action="store_true",
-        help="use the exhaustive subset sweep instead of incremental growth",
-    )
     census.add_argument("--out", help="output directory (default $PANOPTIGON_OUT or .)")
     census.set_defaults(func=cmd_census)
 

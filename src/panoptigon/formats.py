@@ -7,7 +7,6 @@ serialization round-trips.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,7 +94,3 @@ def hyperelliptic_form_from_json(data: dict) -> HyperellipticForm:
         j=data.get("j", 0),
         k=data.get("k", 0),
     )
-
-
-def dump_json(data, path: Path) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -8,13 +8,13 @@ from panoptigon.core import Polygon, convex_hull
 
 @pytest.fixture(scope="session")
 def raw_polygons() -> set[Polygon]:
-    return enumerate_raw(threads=4)
+    return enumerate_raw()
 
 
 @pytest.fixture(scope="session")
 def census(raw_polygons):
     """(non-hyperelliptic records, width>=3 records incl. the triangle)."""
-    return full_panoptigon_census(threads=4)
+    return full_panoptigon_census(raw=raw_polygons)
 
 
 def random_polygon(rng: random.Random, span: int = 6, points: int = 6) -> Polygon:

@@ -8,7 +8,6 @@ from panoptigon.census import (
     candidate_point_set,
     census_summary,
     corollary_lw12_check,
-    enumerate_raw,
     genus1_classes,
     genus1_lw2_classes,
     maximal_lw3,
@@ -27,7 +26,7 @@ from panoptigon.classify import (
 )
 from panoptigon.core import Polygon, convex_hull
 from panoptigon.relaxation import NotLattice, is_maximal, relaxed_lattice
-from panoptigon.transform import are_equivalent, lattice_width
+from panoptigon.transform import are_equivalent, canonical_form, lattice_width
 
 
 def test_candidate_frame_has_thirty_points():
@@ -46,10 +45,6 @@ def test_raw_polygons_all_visible_from_origin_and_small(raw_polygons):
         assert len(pts) <= 13
         assert (0, 0) in pts
         assert is_panoptigon(poly).is_panoptigon
-
-
-def test_raw_enumeration_thread_count_invariant(raw_polygons):
-    assert enumerate_raw(threads=1) == raw_polygons
 
 
 def test_nonhyperelliptic_census_classes(census):
@@ -127,6 +122,40 @@ def test_genus1_enumeration_all_panoptigons():
 
 def test_genus1_width2_count_reported():
     assert len(genus1_lw2_classes()) == 15
+
+
+def test_genus1_classes_cache_is_immutable():
+    classes = genus1_classes()
+    assert isinstance(classes, tuple)
+    assert genus1_classes() == classes
+
+
+def _genus1_strip_oracle(width: int, height: int) -> set[Polygon]:
+    """Genus-1 classes among the convex-closed subsets of [0,width]x[0,height].
+
+    Grows single points one lattice point at a time, pruning hulls that leave
+    the box or have genus > 1; independent of the census enumerator.
+    """
+    box = frozenset((x, y) for x in range(width + 1) for y in range(height + 1))
+    visited = {frozenset({p}) for p in box}
+    stack = list(visited)
+    while stack:
+        state = stack.pop()
+        for p in box - state:
+            hull = convex_hull(state | {p})
+            nxt = hull.lattice_point_set
+            if nxt <= box and nxt not in visited and hull.genus <= 1:
+                visited.add(nxt)
+                stack.append(nxt)
+    polys = (convex_hull(s) for s in visited)
+    return {canonical_form(p) for p in polys if p.dimension == 2 and p.genus == 1}
+
+
+def test_genus1_classes_match_strip_oracle():
+    # The three maximal genus-1 polygons all fit in [0,4]x[0,3]; the 3x3 box
+    # misses conv((0,0),(4,0),(0,2)).
+    assert _genus1_strip_oracle(4, 3) == set(genus1_classes())
+    assert len(_genus1_strip_oracle(3, 3)) == 15
 
 
 def test_maximal_lw3_outputs():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from panoptigon import cli
+from panoptigon import census, cli
+from panoptigon.census import enumerate_raw
 from panoptigon.cli import (
     EXIT_COUNT_MISMATCH,
     EXIT_IO,
@@ -105,22 +106,38 @@ def test_census_out_env_var(tmp_path, capsys, monkeypatch):
 
 def test_census_raw_exit_ok(tmp_path, capsys):
     code, out, _ = run(
-        ["census", "raw", "--threads", "4", "--out", str(tmp_path)], capsys
+        ["census", "raw", "--out", str(tmp_path)], capsys
     )
     assert code == EXIT_OK
     assert "215" in out
 
 
+def test_census_removed_options_are_usage_errors(tmp_path, capsys):
+    for args in (["census", "full", "--threads", "4"], ["census", "raw", "--slow-oracle"]):
+        code, _, err = run(args + ["--out", str(tmp_path)], capsys)
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in err
+
+
 def test_census_full_reports_mismatch(tmp_path, capsys, monkeypatch):
     # One wrong expectation makes the count-verification exit code fire.
+    raw_calls = []
+
+    def counting_enumerate_raw():
+        raw_calls.append(1)
+        return enumerate_raw()
+
     with monkeypatch.context() as m:
         m.setitem(cli.EXPECTED_COUNTS, "lw3plus", 73)
+        m.setattr(cli, "enumerate_raw", counting_enumerate_raw)
+        m.setattr(census, "enumerate_raw", counting_enumerate_raw)
         code, out, err = run(
-            ["census", "full", "--threads", "4", "--out", str(tmp_path / "patched")],
+            ["census", "full", "--out", str(tmp_path / "patched")],
             capsys,
         )
     assert code == EXIT_COUNT_MISMATCH
     assert "count mismatch: lw3plus = 71 (expected 73)" in err
+    assert len(raw_calls) == 1
     # With the proven counts in place the same census exits cleanly.
     code, out, err = run(["census", "full", "--out", str(tmp_path)], capsys)
     assert code == EXIT_OK
