@@ -28,8 +28,8 @@ from .classify import (
     valid_forms,
 )
 from .core import Point, Polygon, convex_hull, is_visible
-from .relaxation import NotLattice, is_maximal, relaxed_lattice
-from .transform import are_equivalent, canonical_form, lattice_diameter, lattice_width
+from .relaxation import GENUS1_MAXIMAL_VERTICES, is_maximal, relaxed_lattice
+from .transform import canonical_form, lattice_diameter, lattice_width
 
 FIXED_POINTS = frozenset({(0, 0), (-1, -1), (0, -1), (1, -1), (2, -1)})
 
@@ -301,16 +301,6 @@ def census_summary(nonhyp: list[CensusRecord], lw3plus: list[CensusRecord], raw_
         "lw3plus": len(lw3plus),
         "by_count": {str(k): by_count[k] for k in sorted(by_count)},
     }
-
-
-# Every genus-1 lattice polygon is equivalent to a subpolygon of one of
-# these three (Poonen & Rodriguez-Villegas, "Lattice polygons and the
-# number 12", Amer. Math. Monthly 107 (2000)).
-GENUS1_MAXIMAL_VERTICES = (
-    ((-1, -1), (2, -1), (-1, 2)),
-    ((-1, -1), (1, -1), (1, 1), (-1, 1)),
-    ((-1, -1), (3, -1), (-1, 1)),
-)
 
 
 @lru_cache(maxsize=None)

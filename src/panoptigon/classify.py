@@ -10,10 +10,10 @@ interior points at height 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import Point, Polygon, convex_hull, visible_from
-from .transform import canonical_form
+from .transform import canonical_form, lattice_width
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,6 @@ def hyperelliptic_normal_form(poly: Polygon) -> HyperellipticForm:
     g = poly.genus
     if g < 2 or not is_hyperelliptic(poly):
         raise ValueError("normal form requires a hyperelliptic polygon of genus >= 2")
-    from .transform import lattice_width
-
     if lattice_width(poly)[0] != 2:
         raise ValueError("normal form requires lattice width 2")
     target = canonical_form(poly)

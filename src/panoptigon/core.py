@@ -192,18 +192,18 @@ class Polygon:
         return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
 
 
-def convex_hull(points: Iterable[Point]) -> Polygon:
-    """Convex hull via monotone chain, strictly CCW, no collinear vertices.
+def hull_vertices(points: Iterable) -> tuple:
+    """Monotone-chain hull vertices, strictly CCW, lowest-then-leftmost first.
 
-    Degenerate inputs yield dimension-0/1 polygons; empty input is an error.
+    Coordinates may be ints or ``Fraction``s.  Collinear points are dropped;
+    a collinear input yields its two ends, a single point itself, and an
+    empty input the empty tuple.
     """
     pts = sorted(set(points))
-    if not pts:
-        raise ValueError("empty point set")
-    if len(pts) == 1:
-        return Polygon((pts[0],))
+    if len(pts) <= 1:
+        return tuple(pts)
     if all(orientation(pts[0], pts[-1], p) == 0 for p in pts):
-        return Polygon((pts[0], pts[-1]))
+        return (pts[0], pts[-1])
 
     def chain(seq):
         out = []
@@ -218,4 +218,15 @@ def convex_hull(points: Iterable[Point]) -> Polygon:
     verts = lower[:-1] + upper[:-1]
     # rotate so the lowest-then-leftmost vertex comes first
     start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
-    return Polygon(tuple(verts[start:] + verts[:start]))
+    return tuple(verts[start:] + verts[:start])
+
+
+def convex_hull(points: Iterable[Point]) -> Polygon:
+    """Convex hull of lattice points as a :class:`Polygon` (see :func:`hull_vertices`).
+
+    Degenerate inputs yield dimension-0/1 polygons; empty input is an error.
+    """
+    verts = hull_vertices(points)
+    if not verts:
+        raise ValueError("empty point set")
+    return Polygon(verts)

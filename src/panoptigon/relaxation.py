@@ -1,4 +1,4 @@
-"""Half-plane representations, the relaxed polygon, and maximality tests.
+"""The relaxed polygon, and maximality among polygons with the same interior.
 
 Relaxing a polygon pushes every edge's half-plane out by one lattice unit
 (c -> c + 1 with a primitive normal).  The result can fail to be a lattice
@@ -10,31 +10,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Optional
 
-from .core import Point, Polygon, convex_hull
+from .core import Polygon, convex_hull, hull_vertices
+from .transform import canonical_form
 
 RationalPoint = tuple[Fraction, Fraction]
 
-
-@dataclass(frozen=True)
-class HalfPlane:
-    """{(x, y) : a*x + b*y <= c} with gcd(|a|, |b|) = 1."""
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        if gcd(abs(self.a), abs(self.b)) != 1:
-            raise ValueError("half-plane normal must be primitive")
-
-    def holds(self, x: Fraction, y: Fraction) -> bool:
-        return self.a * x + self.b * y <= self.c
-
-    def relaxed(self) -> "HalfPlane":
-        return HalfPlane(self.a, self.b, self.c + 1)
+# Every genus-1 lattice polygon is equivalent to a subpolygon of one of
+# these three (Poonen & Rodriguez-Villegas, "Lattice polygons and the
+# number 12", Amer. Math. Monthly 107 (2000)).
+GENUS1_MAXIMAL_VERTICES = (
+    ((-1, -1), (2, -1), (-1, 2)),
+    ((-1, -1), (1, -1), (1, 1), (-1, 1)),
+    ((-1, -1), (3, -1), (-1, 1)),
+)
+_GENUS1_MAXIMAL_FORMS = frozenset(
+    canonical_form(convex_hull(vertices)) for vertices in GENUS1_MAXIMAL_VERTICES
+)
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,8 @@ class RationalPolygon:
     """Convex polygon with exact rational vertices in CCW order."""
 
     vertices: tuple[RationalPoint, ...]
-    collapsed_edges: tuple[HalfPlane, ...] = ()
+    # pushed-out (a, b, c) of Polygon.halfplanes that no longer carry an edge
+    collapsed_edges: tuple[tuple[int, int, int], ...] = ()
 
     @property
     def is_lattice(self) -> bool:
@@ -74,43 +70,12 @@ class NotLattice:
     relaxed: RationalPolygon = field(compare=False)
 
 
-def edge_halfplanes(poly: Polygon) -> list[HalfPlane]:
-    """One primitive half-plane per edge, tight on that edge."""
-    if poly.dimension != 2:
-        raise ValueError("half-plane representation requires dimension 2")
-    return [HalfPlane(a, b, c) for a, b, c in poly.halfplanes()]
-
-
-def _intersect(h1: HalfPlane, h2: HalfPlane) -> Optional[RationalPoint]:
-    det = h1.a * h2.b - h2.a * h1.b
+def _intersect(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> Optional[RationalPoint]:
+    (a1, b1, c1), (a2, b2, c2) = h1, h2
+    det = a1 * b2 - a2 * b1
     if det == 0:
         return None
-    x = Fraction(h1.c * h2.b - h2.c * h1.b, det)
-    y = Fraction(h1.a * h2.c - h2.a * h1.c, det)
-    return (x, y)
-
-
-def _hull_order(pts: list[RationalPoint]) -> tuple[RationalPoint, ...]:
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return tuple(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    if all(cross(pts[0], pts[-1], p) == 0 for p in pts):
-        return (pts[0], pts[-1])
-    verts = chain(pts)[:-1] + chain(list(reversed(pts)))[:-1]
-    start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
-    return tuple(verts[start:] + verts[:start])
+    return (Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det))
 
 
 def relax(poly: Polygon) -> RationalPolygon:
@@ -119,48 +84,21 @@ def relax(poly: Polygon) -> RationalPolygon:
     Vertices are exact rationals.  Edges whose pushed-out line no longer
     supports a one-dimensional face are reported in ``collapsed_edges``.
     """
-    planes = [h.relaxed() for h in edge_halfplanes(poly)]
+    if poly.dimension != 2:
+        raise ValueError("relaxation requires dimension 2")
+    planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
     pts: list[RationalPoint] = []
-    n = len(planes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = _intersect(planes[i], planes[j])
-            if p is not None and all(h.holds(*p) for h in planes):
-                pts.append(p)
-    verts = _hull_order(pts)
+    for h1, h2 in combinations(planes, 2):
+        p = _intersect(h1, h2)
+        if p is not None and all(a * p[0] + b * p[1] <= c for a, b, c in planes):
+            pts.append(p)
+    verts = hull_vertices(pts)
     collapsed = []
-    for h in planes:
-        on_line = [v for v in verts if h.a * v[0] + h.b * v[1] == h.c]
+    for a, b, c in planes:
+        on_line = [v for v in verts if a * v[0] + b * v[1] == c]
         if len(on_line) < 2:
-            collapsed.append(h)
+            collapsed.append((a, b, c))
     return RationalPolygon(verts, tuple(collapsed))
-
-
-def segment_lattice_point(p: RationalPoint, q: RationalPoint) -> Optional[Point]:
-    """Some lattice point on the closed segment pq, or None.
-
-    Used by the edge-collapse invariant: when a relaxed polygon is a lattice
-    polygon, every pushed-out edge line must still meet it in a lattice point.
-    """
-    if p == q:
-        if p[0].denominator == 1 and p[1].denominator == 1:
-            return (int(p[0]), int(p[1]))
-        return None
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    # walk integer values of the dominant coordinate
-    if abs(dx) >= abs(dy):
-        lo, hi = min(p[0], q[0]), max(p[0], q[0])
-        for x in range(-(-lo.numerator // lo.denominator), hi.numerator // hi.denominator + 1):
-            y = p[1] + dy * (x - p[0]) / dx
-            if y.denominator == 1:
-                return (x, int(y))
-    else:
-        lo, hi = min(p[1], q[1]), max(p[1], q[1])
-        for y in range(-(-lo.numerator // lo.denominator), hi.numerator // hi.denominator + 1):
-            x = p[0] + dx * (y - p[1]) / dy
-            if x.denominator == 1:
-                return (int(x), y)
-    return None
 
 
 def relaxed_lattice(poly: Polygon):
@@ -173,12 +111,32 @@ def relaxed_lattice(poly: Polygon):
 
 
 def is_maximal(poly: Polygon) -> bool:
-    """Containment-maximal among polygons with the same interior points.
+    """Containment-maximal among lattice polygons with the same interior points.
 
-    Non-hyperelliptic polygons are maximal exactly when they equal the
-    relaxation of their interior polygon.  For hyperelliptic ones (interior
-    of dimension <= 1) we search for a single exterior point whose addition
-    keeps the interior point set unchanged.
+    No search: each case is decided in closed form.
+
+    - Two-dimensional interior: P is maximal iff P = relax(int P)
+      (Koelman; Castryck, "Moving out the edges of a lattice polygon",
+      DCG 2012).
+    - Genus 1: maximal iff P is equivalent to one of the three polygons of
+      ``GENUS1_MAXIMAL_VERTICES``.  Any other genus-1 P is equivalent to a
+      proper subpolygon of one of them, Q; adding a vertex of Q missing from
+      P keeps the single interior point.
+    - Collinear interior u, u+d, ..., v (genus >= 2, d primitive): maximal
+      iff u - d and v + d are both boundary lattice points of P and neither
+      is a vertex.  This rests on the bound that every lattice polygon with
+      these interior points lies within lattice distance 1 of their line
+      (which is why hyperelliptic polygons of genus >= 2 have width 2).
+      Proof: a lattice point q at distance k >= 2 and two consecutive
+      interior points p1, p2 span a triangle of area k/2; it is not
+      unimodular, so it holds another lattice point, which lies in the
+      interior of P but off the line.  In that strip only points on the
+      line can be interior, so only the ends u - d and v + d can change
+      status.  Hence: if u - d is missing from P, adding it keeps the
+      interior; if u - d is a vertex, adding the lattice point just past
+      the u - d end of P's row at distance 1 keeps it too; if both ends
+      lie inside edges, every added lattice point either leaves the strip
+      or makes an end interior.
     """
     if poly.genus == 0:
         raise ValueError("maximality undefined without interior points")
@@ -186,20 +144,10 @@ def is_maximal(poly: Polygon) -> bool:
     if inner.dimension == 2:
         r = relaxed_lattice(inner)
         return isinstance(r, Polygon) and r == poly
-    return _one_point_extension(poly) is None
-
-
-def _one_point_extension(poly: Polygon, margin_scale: int = 1):
-    xmin, ymin, xmax, ymax = poly.bounding_box()
-    m = max(xmax - xmin, ymax - ymin) * margin_scale
-    interior = poly.interior_point_set
-    pts = poly.lattice_point_set
-    for x in range(xmin - m, xmax + m + 1):
-        for y in range(ymin - m, ymax + m + 1):
-            q = (x, y)
-            if q in pts or poly.contains(q):
-                continue
-            bigger = convex_hull(list(poly.vertices) + [q])
-            if bigger.interior_point_set == interior:
-                return q
-    return None
+    if inner.dimension == 0:
+        return canonical_form(poly) in _GENUS1_MAXIMAL_FORMS
+    u, v = inner.vertices
+    g = gcd(v[0] - u[0], v[1] - u[1])
+    dx, dy = (v[0] - u[0]) // g, (v[1] - u[1]) // g
+    ends = ((u[0] - dx, u[1] - dy), (v[0] + dx, v[1] + dy))
+    return all(poly.contains(e) and e not in poly.vertices for e in ends)

@@ -96,17 +96,16 @@ def width_wrt(poly: Polygon, f: Functional) -> int:
     return max(vals) - min(vals)
 
 
-def lattice_width(poly: Polygon, bound: int | None = None) -> tuple[int, frozenset[Functional]]:
+def lattice_width(poly: Polygon) -> tuple[int, frozenset[Functional]]:
     """Minimum width over primitive functionals, with all minimizers found.
 
-    With ``bound`` given, the search scans normalized functionals with
-    |alpha|, |beta| <= bound (the test suite re-runs with a doubled bound
-    as an oracle).  Without it, candidates are parameterized by their
-    values (s1, s2) on two independent vertex-difference vectors d1, d2:
-    any minimizer f has |f(d)| <= width(f) <= B for every difference
-    vector d of the polygon, where B = min(axis-aligned widths), so
-    scanning |s1|, |s2| <= B and keeping the integral functionals covers
-    every minimizer regardless of how sheared the polygon is.
+    Candidates are parameterized by their values (s1, s2) on two
+    independent vertex-difference vectors d1, d2: any minimizer f has
+    |f(d)| <= width(f) <= B for every difference vector d of the polygon,
+    where B = min(axis-aligned widths), so scanning |s1|, |s2| <= B and
+    keeping the integral functionals covers every minimizer regardless of
+    how sheared the polygon is.  The tests check it against a bounded scan
+    of all functionals.
     """
     if poly.dimension == 0:
         return 0, frozenset()
@@ -116,22 +115,6 @@ def lattice_width(poly: Polygon, bound: int | None = None) -> tuple[int, frozens
     fx, fy = Functional(1, 0), Functional(0, 1)
     best = min(width_wrt(poly, fx), width_wrt(poly, fy))
     winners: set[Functional] = set()
-
-    if bound is not None:
-        for alpha in range(0, bound + 1):
-            betas = range(1, bound + 1) if alpha == 0 else range(-bound, bound + 1)
-            for beta in betas:
-                if gcd(alpha, abs(beta)) != 1:
-                    continue
-                f = Functional(alpha, beta)
-                w = width_wrt(poly, f)
-                if w < best:
-                    best = w
-                    winners = {f}
-                elif w == best:
-                    winners.add(f)
-        return best, frozenset(winners)
-
     v0, v1, v2 = poly.vertices[0], poly.vertices[1], poly.vertices[2]
     d1 = (v1[0] - v0[0], v1[1] - v0[1])
     d2 = (v2[0] - v0[0], v2[1] - v0[1])

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -28,3 +29,14 @@ def random_polygon_2d(rng: random.Random, span: int = 6, points: int = 6) -> Pol
         poly = random_polygon(rng, span, points)
         if poly.dimension == 2:
             return poly
+
+
+def bounded_lattice_width(poly: Polygon, bound: int) -> int:
+    """Width oracle: scan every primitive functional with |alpha|, |beta| <= bound."""
+    widths = []
+    for alpha in range(0, bound + 1):
+        for beta in range(1, bound + 1) if alpha == 0 else range(-bound, bound + 1):
+            if gcd(alpha, abs(beta)) == 1:
+                values = [alpha * x + beta * y for x, y in poly.vertices]
+                widths.append(max(values) - min(values))
+    return min(widths)

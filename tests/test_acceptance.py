@@ -7,8 +7,6 @@ values, and any deviation from quoted values, next to the verdict.
 
 import random
 
-import pytest
-
 from panoptigon.census import (
     big_face_obstruction,
     corollary_lw12_check,
@@ -16,7 +14,6 @@ from panoptigon.census import (
     genus1_lw2_classes,
     maximal_lw3,
     maximal_lw3_count_formula,
-    maximal_lw4,
     obstruction_witnesses,
     relax_condition,
 )
@@ -38,7 +35,7 @@ from panoptigon.transform import (
     lattice_width,
 )
 
-from conftest import random_polygon
+from conftest import bounded_lattice_width, random_polygon
 
 
 def emit(capsys, num, ok, detail):
@@ -316,7 +313,7 @@ def test_criterion_10_invariant_suites(census, capsys):
         w = lattice_width(poly)[0]
         xmin, ymin, xmax, ymax = poly.bounding_box()
         doubled = 2 * (max(xmax - xmin, ymax - ymin) + 1)
-        if lattice_width(poly, bound=doubled)[0] != w:
+        if bounded_lattice_width(poly, doubled) != w:
             violations.append(("width-bound", poly))
         for _ in range(15):
             m = UnimodularMap.random(rng)

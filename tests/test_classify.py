@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from panoptigon.classify import (
@@ -15,7 +13,6 @@ from panoptigon.classify import (
     trapezoid,
     valid_forms,
 )
-from panoptigon.core import convex_hull
 from panoptigon.transform import UnimodularMap, canonical_form, lattice_width
 
 

@@ -1,6 +1,5 @@
 import json
-
-import pytest
+import signal
 
 from panoptigon import census, cli
 from panoptigon.census import enumerate_raw
@@ -168,3 +167,24 @@ def test_analyze_polygon_fields_recomputable():
     assert report.genus == poly.genus
     assert report.canonical is not None
     assert polygon_to_text(report.polygon) == "0,0 3,0 0,3"
+
+
+def test_analyze_maximal_far_from_origin(capsys):
+    """Maximality of a hyperelliptic input costs the same however it is embedded.
+
+    Both inputs are maximal: T_3 and the 10x2 box, each under a large shear.
+    """
+
+    def too_slow(signum, frame):
+        raise TimeoutError("analyze took more than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        for text in ("0,0 3,0 300,3", "0,0 10,0 210,2 200,2"):
+            code, out, _ = run(["analyze", text], capsys)
+            assert code == EXIT_OK
+            assert json.loads(out)["maximal"] is True, text
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from panoptigon.core import Polygon, convex_hull, is_visible, visible_from
 
 from conftest import random_polygon

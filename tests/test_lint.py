@@ -1,0 +1,49 @@
+"""Static checks on the package source, using only the standard library."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "panoptigon"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads.
+
+    ``from __future__`` imports are skipped.  A name counts as read when it
+    appears as an identifier, or inside a string that parses as an
+    expression (a quoted annotation).
+    """
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted("%s (line %d)" % (name, line) for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_detected():
+    source = "from __future__ import annotations\nimport os\nfrom typing import Optional\nx: 'Optional[int]' = 1\n"
+    assert unused_imports(source) == ["os (line 2)"]
+
+
+def test_no_unused_imports_in_src():
+    """Every module but ``__init__.py`` (whose imports are re-exports) reads what it imports."""
+    found = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}

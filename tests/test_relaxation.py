@@ -1,16 +1,20 @@
-from fractions import Fraction
+import random
+from math import gcd
 
 import pytest
 
-from panoptigon.classify import standard_triangle, trapezoid
+from panoptigon.census import genus1_classes
+from panoptigon.classify import hyperelliptic_polygon, standard_triangle, trapezoid, valid_forms
 from panoptigon.core import convex_hull
 from panoptigon.relaxation import (
     NotLattice,
     is_maximal,
     relax,
     relaxed_lattice,
-    segment_lattice_point,
 )
+from panoptigon.transform import UnimodularMap
+
+from conftest import random_polygon
 
 
 def test_relax_standard_triangle():
@@ -56,18 +60,6 @@ def test_collapsed_edges_recorded():
     assert not relaxed.is_lattice
 
 
-def test_segment_lattice_point():
-    assert segment_lattice_point(
-        (Fraction(-1), Fraction(0)), (Fraction(1), Fraction(0))
-    ) in {(-1, 0), (0, 0), (1, 0)}
-    assert (
-        segment_lattice_point(
-            (Fraction(1, 2), Fraction(0)), (Fraction(3, 2), Fraction(1, 2))
-        )
-        is None
-    )
-
-
 def test_is_maximal():
     assert is_maximal(standard_triangle(3))
     assert is_maximal(standard_triangle(4))
@@ -78,7 +70,7 @@ def test_is_maximal_rejects_genus_zero():
         is_maximal(standard_triangle(1))
 
 
-def test_hyperelliptic_maximality_uses_extension_probe():
+def test_hyperelliptic_maximality_examples():
     # T_{2,2} relaxes to a lattice polygon, so the relaxation is maximal
     # while the trapezoid strictly inside it is not.
     grown = relaxed_lattice(trapezoid(2, 2))
@@ -86,3 +78,59 @@ def test_hyperelliptic_maximality_uses_extension_probe():
     # This genus-1 triangle sits strictly inside the size-3 standard
     # triangle with the same interior point, so it is not maximal.
     assert not is_maximal(convex_hull([(0, 0), (2, 0), (1, 2)]))
+
+
+def one_point_extension(poly):
+    """Maximality oracle: a lattice point whose addition keeps the interior points, or None.
+
+    Scans a box around P with a margin of P's larger side.  By the strip
+    bound in ``is_maximal``'s docstring, that box holds a witness whenever a
+    polygon with collinear interior has one.
+    """
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    m = max(xmax - xmin, ymax - ymin)
+    for x in range(xmin - m, xmax + m + 1):
+        for y in range(ymin - m, ymax + m + 1):
+            q = (x, y)
+            if poly.contains(q):
+                continue
+            # The interior can only grow, so equal counts (by Pick) mean equal sets.
+            bigger = convex_hull(list(poly.vertices) + [q])
+            boundary = sum(gcd(abs(w[0] - v[0]), abs(w[1] - v[1])) for v, w in bigger.edges())
+            if bigger.double_area - boundary + 2 == 2 * poly.genus:
+                return q
+    return None
+
+
+def test_is_maximal_matches_probe_on_random_polygons():
+    rng = random.Random(5)
+    checked = maximal = 0
+    while checked < 150:
+        poly = random_polygon(rng, span=3)
+        if poly.genus == 0 or poly.interior_polygon().dimension == 2:
+            continue
+        checked += 1
+        expected = one_point_extension(poly) is None
+        maximal += expected
+        assert is_maximal(poly) == expected, poly
+    assert 0 < maximal < checked
+
+
+def test_is_maximal_matches_probe_on_width2_forms():
+    rng = random.Random(11)
+    maximal = {}
+    for g in range(2, 7):
+        for form in valid_forms(g):
+            poly = hyperelliptic_polygon(form)
+            expected = one_point_extension(poly) is None
+            maximal[g] = maximal.get(g, 0) + expected
+            assert is_maximal(poly) == expected, form
+            assert is_maximal(UnimodularMap.random(rng)(poly)) == expected, form
+    # The maximal genus-g polygons of width 2 are g + 2 forms.
+    assert maximal == {g: g + 2 for g in range(2, 7)}
+
+
+def test_exactly_three_genus1_classes_are_maximal():
+    classes = genus1_classes()
+    assert len(classes) == 16
+    assert sum(is_maximal(p) for p in classes) == 3

@@ -1,6 +1,5 @@
 import pytest
 
-from panoptigon.census import nonhyperelliptic_census
 from panoptigon.classify import standard_triangle
 from panoptigon.core import convex_hull
 from panoptigon.render import RenderError, render_svg

@@ -13,7 +13,7 @@ from panoptigon.transform import (
     width_wrt,
 )
 
-from conftest import random_polygon_2d
+from conftest import bounded_lattice_width, random_polygon_2d
 
 
 def test_functional_normalization():
@@ -65,7 +65,7 @@ def test_lattice_width_doubled_bound_oracle():
         w, _ = lattice_width(poly)
         xmin, ymin, xmax, ymax = poly.bounding_box()
         bound = 2 * (max(xmax - xmin, ymax - ymin) + 1)
-        assert w == lattice_width(poly, bound=bound)[0]
+        assert w == bounded_lattice_width(poly, bound)
 
 
 def test_lattice_diameter_examples():
