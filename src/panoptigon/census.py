@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .classify import (
@@ -71,33 +70,38 @@ def candidate_point_set() -> CandidateFrame:
     return CandidateFrame(FIXED_POINTS, frozenset(pts) - FIXED_POINTS)
 
 
-def _closure(points: Iterable[Point], universe: frozenset[Point]) -> Optional[frozenset[Point]]:
-    """Lattice points of the convex hull, or None if they escape the universe."""
-    closed = convex_hull(points).lattice_point_set
-    return closed if closed <= universe else None
-
-
 def convex_closed_sets(
     universe: frozenset[Point],
-    seeds: Iterable[frozenset[Point]],
-    keep: Optional[Callable[[frozenset[Point]], bool]] = None,
-) -> set[frozenset[Point]]:
-    """All convex-closed supersets (within the universe) of the seed states.
+    seeds: Iterable[Polygon],
+    keep: Optional[Callable[[Polygon], bool]] = None,
+) -> set[Polygon]:
+    """All convex-closed supersets (within the universe) of the seed polygons.
 
-    A state grows by one universe point at a time and is replaced by the
-    lattice points of its convex hull; hulls that escape the universe are
-    dropped, and so are states for which ``keep`` returns False (the seeds
-    themselves are not tested).  Every convex-closed set containing a seed
-    is reached, provided ``keep`` holds on all of its convex-closed subsets
-    that contain that seed.
+    Contract:
+
+    - Each seed's lattice points lie in the universe, so each seed is a
+      convex-closed set of it.  Seeds are returned without a ``keep`` test.
+    - ``keep`` is deterministic and hereditary: if it holds on a polygon, it
+      holds on every convex-closed subset of it that contains the seed.
+      Then every convex-closed set of the universe that contains a seed
+      and passes ``keep`` is returned.
+    - A state is the ``Polygon`` of its lattice points, keyed by its hull
+      vertices (a convex-closed set is fixed by them).  It grows by one
+      universe point p at a time into ``convex_hull(vertices + (p,))``.
+      Hulls that escape the universe or fail ``keep`` are remembered by
+      their vertices, so no hull is scanned or tested twice.
     """
-    visited: set[frozenset[Point]] = set(seeds)
+    visited: set[Polygon] = set(seeds)
+    rejected: set[tuple[Point, ...]] = set()
     stack = list(visited)
     while stack:
-        state = stack.pop()
-        for p in universe - state:
-            nxt = _closure(state | {p}, universe)
-            if nxt is None or nxt in visited or (keep is not None and not keep(nxt)):
+        poly = stack.pop()
+        for p in universe - poly.lattice_point_set:
+            nxt = convex_hull(poly.vertices + (p,))
+            if nxt in visited or nxt.vertices in rejected:
+                continue
+            if not nxt.lattice_point_set <= universe or (keep is not None and not keep(nxt)):
+                rejected.add(nxt.vertices)
                 continue
             visited.add(nxt)
             stack.append(nxt)
@@ -119,15 +123,13 @@ def enumerate_raw() -> set[Polygon]:
     automatically a panoptigon with panoptigon point (0,0).
     """
     frame = candidate_point_set()
-    universe = frame.universe
-    seed = _closure(frame.fixed, universe)
-    assert seed is not None
-    out = set()
-    for s in convex_closed_sets(universe, [seed]):
-        poly = convex_hull(s)
-        if poly.dimension == 2 and poly.genus >= 1 and lattice_width(poly)[0] >= 3:
-            out.add(poly)
-    return out
+    seed = convex_hull(frame.fixed)
+    assert seed.lattice_point_set == frame.fixed
+    return {
+        poly
+        for poly in convex_closed_sets(frame.universe, [seed])
+        if poly.dimension == 2 and poly.genus >= 1 and lattice_width(poly)[0] >= 3
+    }
 
 
 @dataclass(frozen=True)
@@ -230,23 +232,22 @@ SPORADIC_LD2_VERTICES = (
 SPORADIC_CONTAINER_TRAPEZOIDS = ((0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _small_diameter(state: frozenset[Point]) -> bool:
-    """No two points of the set span 4 collinear lattice points."""
-    pts = sorted(state)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            if gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) >= 3:
-                return False
-    return True
-
-
 def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
     """The 3 non-hyperelliptic panoptigon classes of lattice diameter 2.
 
     The known triangle and two quadrilaterals are verified directly; with
-    ``exhaustive`` an independent search over all convex subpolygons of the
-    five containers (relaxations of the trapezoids a diameter-2 interior
-    polygon can be) confirms no further class exists.
+    ``exhaustive`` an independent search over the convex subpolygons of the
+    five containers confirms no further class exists.
+
+    Bound: such a polygon P has width >= 3 and diameter 2, so its interior
+    polygon is equivalent to one of the trapezoids T(a, b) listed in
+    ``SPORADIC_CONTAINER_TRAPEZOIDS``.  By the moving-out bound (Koelman
+    1991; Castryck, "Moving out the edges of a lattice polygon", DCG 2012)
+    P lies between int(P) and relax(int(P)).  So, placed with
+    int(P) = T(a, b), P is a convex-closed subset of relax(T(a, b)) that
+    contains T(a, b), and the walk of each container is seeded with
+    T(a, b) alone.  Diameter <= 2 holds on every subset of a set where it
+    holds, so it prunes the walk without losing any such P.
     """
     known = [convex_hull(v) for v in SPORADIC_LD2_VERTICES]
     records = []
@@ -258,15 +259,16 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
     if exhaustive:
         found: set[Polygon] = set()
         for a, b in SPORADIC_CONTAINER_TRAPEZOIDS:
-            container = relaxed_lattice(trapezoid(a, b))
+            inner = trapezoid(a, b)
+            container = relaxed_lattice(inner)
             assert isinstance(container, Polygon)
-            universe = container.lattice_point_set
-            seeds = [frozenset({p}) for p in universe]
-            for state in convex_closed_sets(universe, seeds, keep=_small_diameter):
-                poly = convex_hull(state)
-                if poly.dimension != 2:
-                    continue
-                if lattice_diameter(poly)[0] > 2 or lattice_width(poly)[0] < 3:
+            walk = convex_closed_sets(
+                container.lattice_point_set,
+                [inner],
+                keep=lambda poly: lattice_diameter(poly)[0] <= 2,
+            )
+            for poly in walk:
+                if lattice_width(poly)[0] < 3:
                     continue
                 if is_hyperelliptic(poly) or not is_panoptigon(poly).is_panoptigon:
                     continue
@@ -310,12 +312,16 @@ def genus1_classes() -> tuple[Polygon, ...]:
     Bound: every genus-1 polygon is equivalent to a subpolygon of one of the
     three maximal ones in ``GENUS1_MAXIMAL_VERTICES``, so walking their
     convex-closed subsets and keeping the genus-1 ones finds every class.
+    Each maximal polygon has (0,0) as its only interior point; its other
+    lattice points lie on its boundary.  A genus-1 subpolygon's interior
+    point is interior to the maximal polygon too, so it is (0,0), and the
+    walk is seeded with {(0,0)} alone.
     """
+    origin = convex_hull([(0, 0)])
     classes: set[Polygon] = set()
     for vertices in GENUS1_MAXIMAL_VERTICES:
         universe = convex_hull(vertices).lattice_point_set
-        for state in convex_closed_sets(universe, [frozenset({p}) for p in universe]):
-            poly = convex_hull(state)
+        for poly in convex_closed_sets(universe, [origin]):
             if poly.dimension == 2 and poly.genus == 1:
                 classes.add(canonical_form(poly))
     return tuple(sorted(classes, key=lambda p: p.vertices))

@@ -188,9 +188,6 @@ class Polygon:
         ys = [y for _, y in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
 
-    def translate(self, dx: int, dy: int) -> "Polygon":
-        return Polygon(tuple((x + dx, y + dy) for x, y in self.vertices))
-
 
 def hull_vertices(points: Iterable) -> tuple:
     """Monotone-chain hull vertices, strictly CCW, lowest-then-leftmost first.

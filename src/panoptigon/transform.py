@@ -8,7 +8,6 @@ onto the other.  Widths are measured by primitive integer functionals
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
@@ -72,22 +71,6 @@ class UnimodularMap:
         itx = -(inv[0][0] * tx + inv[0][1] * ty)
         ity = -(inv[1][0] * tx + inv[1][1] * ty)
         return UnimodularMap(inv, (itx, ity))
-
-    @staticmethod
-    def random(rng: random.Random, shear_range: int = 5) -> "UnimodularMap":
-        """Random map built from shears, a flip, and a translation."""
-        m = UnimodularMap(((1, rng.randint(-shear_range, shear_range)), (0, 1)))
-        n = UnimodularMap(((1, 0), (rng.randint(-shear_range, shear_range), 1)))
-        flip = UnimodularMap(((0, 1), (1, 0))) if rng.random() < 0.5 else UnimodularMap(((1, 0), (0, 1)))
-        (a, b), (c, d) = _compose(_compose(m.matrix, n.matrix), flip.matrix)
-        t = (rng.randint(-10, 10), rng.randint(-10, 10))
-        return UnimodularMap(((a, b), (c, d)), t)
-
-
-def _compose(m1, m2):
-    (a, b), (c, d) = m1
-    (e, f), (g, h) = m2
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 def width_wrt(poly: Polygon, f: Functional) -> int:

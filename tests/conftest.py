@@ -5,6 +5,7 @@ import pytest
 
 from panoptigon.census import enumerate_raw, full_panoptigon_census
 from panoptigon.core import Polygon, convex_hull
+from panoptigon.transform import UnimodularMap
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,21 @@ def random_polygon_2d(rng: random.Random, span: int = 6, points: int = 6) -> Pol
         poly = random_polygon(rng, span, points)
         if poly.dimension == 2:
             return poly
+
+
+def _compose(m1, m2):
+    (a, b), (c, d) = m1
+    (e, f), (g, h) = m2
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def random_unimodular_map(rng: random.Random, shear_range: int = 5) -> UnimodularMap:
+    """Random map built from shears, a flip, and a translation."""
+    m = ((1, rng.randint(-shear_range, shear_range)), (0, 1))
+    n = ((1, 0), (rng.randint(-shear_range, shear_range), 1))
+    flip = ((0, 1), (1, 0)) if rng.random() < 0.5 else ((1, 0), (0, 1))
+    t = (rng.randint(-10, 10), rng.randint(-10, 10))
+    return UnimodularMap(_compose(_compose(m, n), flip), t)
 
 
 def bounded_lattice_width(poly: Polygon, bound: int) -> int:

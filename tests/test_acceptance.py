@@ -35,7 +35,7 @@ from panoptigon.transform import (
     lattice_width,
 )
 
-from conftest import bounded_lattice_width, random_polygon
+from conftest import bounded_lattice_width, random_polygon, random_unimodular_map
 
 
 def emit(capsys, num, ok, detail):
@@ -316,7 +316,7 @@ def test_criterion_10_invariant_suites(census, capsys):
         if bounded_lattice_width(poly, doubled) != w:
             violations.append(("width-bound", poly))
         for _ in range(15):
-            m = UnimodularMap.random(rng)
+            m = random_unimodular_map(rng)
             maps_used += 1
             image = m(poly)
             if canonical_form(image) != canon:

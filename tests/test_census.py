@@ -1,12 +1,15 @@
 import json
+from math import gcd
 
 import pytest
 
 from panoptigon.census import (
+    SPORADIC_CONTAINER_TRAPEZOIDS,
     CensusRecord,
     big_face_obstruction,
     candidate_point_set,
     census_summary,
+    convex_closed_sets,
     corollary_lw12_check,
     genus1_classes,
     genus1_lw2_classes,
@@ -22,11 +25,12 @@ from panoptigon.classify import (
     hyperelliptic_polygon,
     is_panoptigon,
     standard_triangle,
+    trapezoid,
     valid_forms,
 )
 from panoptigon.core import Polygon, convex_hull
 from panoptigon.relaxation import NotLattice, is_maximal, relaxed_lattice
-from panoptigon.transform import are_equivalent, canonical_form, lattice_width
+from panoptigon.transform import are_equivalent, canonical_form, lattice_diameter, lattice_width
 
 
 def test_candidate_frame_has_thirty_points():
@@ -37,6 +41,74 @@ def test_candidate_frame_has_thirty_points():
 
 def test_raw_enumeration_count(raw_polygons):
     assert len(raw_polygons) == 215
+
+
+def _closure(points, universe):
+    """Lattice points of the convex hull, or None if they escape the universe."""
+    closed = convex_hull(points).lattice_point_set
+    return closed if closed <= universe else None
+
+
+def _closed_sets_oracle(universe, seeds, keep=None):
+    """The frozenset walk: every state is a full lattice-point set, grown by
+    one universe point and closed again by a fresh hull of all its points."""
+    visited = set(seeds)
+    stack = list(visited)
+    while stack:
+        state = stack.pop()
+        for p in universe - state:
+            nxt = _closure(state | {p}, universe)
+            if nxt is None or nxt in visited or (keep is not None and not keep(nxt)):
+                continue
+            visited.add(nxt)
+            stack.append(nxt)
+    return visited
+
+
+def _no_long_segment(points) -> bool:
+    """No two of the points span 4 collinear lattice points (diameter <= 2)."""
+    pts = sorted(points)
+    return all(
+        gcd(abs(q[0] - p[0]), abs(q[1] - p[1])) < 3 for i, p in enumerate(pts) for q in pts[i + 1 :]
+    )
+
+
+def _tested_once(keep):
+    """Wrap ``keep`` so that testing one hull twice fails."""
+    seen = set()
+
+    def counted(poly):
+        assert poly.vertices not in seen, poly
+        seen.add(poly.vertices)
+        return keep(poly)
+
+    return counted
+
+
+def test_closed_sets_match_frozenset_oracle_on_frame():
+    frame = candidate_point_set()
+    walk = convex_closed_sets(
+        frame.universe, [convex_hull(frame.fixed)], keep=_tested_once(lambda poly: True)
+    )
+    assert len(walk) == 345
+    assert {poly.lattice_point_set for poly in walk} == _closed_sets_oracle(
+        frame.universe, [frame.fixed]
+    )
+
+
+@pytest.mark.parametrize("a,b", [(2, 2), (0, 2)])
+def test_seeded_sporadic_walk_matches_singleton_oracle(a, b):
+    # The sporadic search seeds each container with T(a, b) itself; the
+    # oracle walks every convex subset from single points.
+    assert (a, b) in SPORADIC_CONTAINER_TRAPEZOIDS
+    inner = trapezoid(a, b)
+    universe = relaxed_lattice(inner).lattice_point_set
+    keep = _tested_once(lambda poly: lattice_diameter(poly)[0] <= 2)
+    walk = convex_closed_sets(universe, [inner], keep=keep)
+    oracle = _closed_sets_oracle(universe, [frozenset({p}) for p in universe], keep=_no_long_segment)
+    expected = {s for s in oracle if inner.lattice_point_set <= s}
+    assert len(expected) > 1
+    assert {poly.lattice_point_set for poly in walk} == expected
 
 
 def test_raw_polygons_all_visible_from_origin_and_small(raw_polygons):
@@ -170,8 +242,6 @@ def test_maximal_lw3_outputs():
 
 
 def test_maximal_lw3_contains_known_example():
-    from panoptigon.classify import trapezoid
-
     target = relaxed_lattice(trapezoid(1, 2))
     assert any(are_equivalent(p, target) for p in maximal_lw3(5))
 

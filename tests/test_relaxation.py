@@ -12,9 +12,8 @@ from panoptigon.relaxation import (
     relax,
     relaxed_lattice,
 )
-from panoptigon.transform import UnimodularMap
 
-from conftest import random_polygon
+from conftest import random_polygon, random_unimodular_map
 
 
 def test_relax_standard_triangle():
@@ -125,7 +124,7 @@ def test_is_maximal_matches_probe_on_width2_forms():
             expected = one_point_extension(poly) is None
             maximal[g] = maximal.get(g, 0) + expected
             assert is_maximal(poly) == expected, form
-            assert is_maximal(UnimodularMap.random(rng)(poly)) == expected, form
+            assert is_maximal(random_unimodular_map(rng)(poly)) == expected, form
     # The maximal genus-g polygons of width 2 are g + 2 forms.
     assert maximal == {g: g + 2 for g in range(2, 7)}
 

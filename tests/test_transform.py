@@ -13,7 +13,7 @@ from panoptigon.transform import (
     width_wrt,
 )
 
-from conftest import bounded_lattice_width, random_polygon_2d
+from conftest import bounded_lattice_width, random_polygon_2d, random_unimodular_map
 
 
 def test_functional_normalization():
@@ -35,7 +35,7 @@ def test_unimodular_map_requires_unit_determinant():
 def test_unimodular_inverse_roundtrip():
     rng = random.Random(99)
     for _ in range(50):
-        m = UnimodularMap.random(rng)
+        m = random_unimodular_map(rng)
         inv = m.inverse()
         for p in [(0, 0), (3, -2), (7, 11)]:
             assert inv.apply_point(m.apply_point(p)) == p
@@ -54,7 +54,7 @@ def test_lattice_width_unimodular_invariance():
     rng = random.Random(7)
     for _ in range(40):
         poly = random_polygon_2d(rng)
-        m = UnimodularMap.random(rng)
+        m = random_unimodular_map(rng)
         assert lattice_width(poly)[0] == lattice_width(m(poly))[0]
 
 
@@ -81,7 +81,7 @@ def test_canonical_form_idempotent_and_invariant():
         poly = random_polygon_2d(rng)
         canon = canonical_form(poly)
         assert canonical_form(canon) == canon
-        m = UnimodularMap.random(rng)
+        m = random_unimodular_map(rng)
         assert canonical_form(m(poly)) == canon
 
 
