@@ -28,7 +28,7 @@ from .classify import (
 )
 from .core import Point, Polygon, convex_hull, is_visible
 from .relaxation import GENUS1_MAXIMAL_VERTICES, is_maximal, relaxed_lattice
-from .transform import canonical_form, lattice_diameter, lattice_width
+from .transform import canonical_form, has_lattice_segment, lattice_diameter, lattice_width
 
 FIXED_POINTS = frozenset({(0, 0), (-1, -1), (0, -1), (1, -1), (2, -1)})
 
@@ -181,22 +181,6 @@ class CensusRecord:
             else [list(v) for v in self.max_polygon.vertices],
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "CensusRecord":
-        return cls(
-            canonical=Polygon(tuple((x, y) for x, y in d["canonical"])),
-            lattice_point_count=d["lattice_point_count"],
-            genus=d["genus"],
-            lattice_width=d["lattice_width"],
-            lattice_diameter=d["lattice_diameter"],
-            hyperelliptic=d["hyperelliptic"],
-            panoptigon_points=tuple((x, y) for x, y in d["panoptigon_points"]),
-            relaxation_lattice=d["relaxation_lattice"],
-            max_polygon=None
-            if d["max_polygon"] is None
-            else Polygon(tuple((x, y) for x, y in d["max_polygon"])),
-        )
-
 
 def sort_records(records: Iterable[CensusRecord]) -> list[CensusRecord]:
     """Deterministic order: by lattice-point count, then canonical vertices."""
@@ -265,7 +249,7 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
             walk = convex_closed_sets(
                 container.lattice_point_set,
                 [inner],
-                keep=lambda poly: lattice_diameter(poly)[0] <= 2,
+                keep=lambda poly: not has_lattice_segment(poly, 3),
             )
             for poly in walk:
                 if lattice_width(poly)[0] < 3:
@@ -358,15 +342,16 @@ def maximal_lw3(g: int) -> list[Polygon]:
 
 
 def maximal_lw3_count_formula(g: int) -> int:
-    """floor((g-2)/2) - floor(g/3) + 1; reported next to the enumeration.
+    """floor((g-2)/2) - ceil((g-4)/3) + 1, the number of maximal lw3 polygons.
 
-    The enumeration is authoritative; the closed form disagrees for some g
-    (its derivation conflates the trapezoid's point count with the genus of
-    the relaxation), so callers should compare rather than assume equality.
+    ``maximal_lw3`` relaxes T(a, b) with a + b = g - 2 and a <= b, so
+    a <= floor((g-2)/2), and the relaxation is integral exactly when 2a >=
+    b - 2 = g - 4 - a, i.e. a >= ceil((g-4)/3) = floor((g-2)/3).  For g >= 4
+    such a have a >= 0 and b >= 1, and each gives one class (the CLI checks).
     """
     if g < 4:
         raise ValueError("count formula stated for genus >= 4")
-    return (g - 2) // 2 - g // 3 + 1
+    return (g - 2) // 2 - (g - 2) // 3 + 1
 
 
 def relax_condition(form: HyperellipticForm) -> bool:

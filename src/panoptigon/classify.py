@@ -9,11 +9,12 @@ interior points at height 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Point, Polygon, convex_hull, visible_from
-from .transform import canonical_form, lattice_width
+from .core import Point, Polygon, convex_hull, is_visible
+from .transform import _ext_gcd
 
 
 @dataclass(frozen=True)
@@ -23,13 +24,17 @@ class PanoptigonReport:
 
 
 def is_panoptigon(poly: Polygon) -> PanoptigonReport:
-    """Brute-force check over all lattice points of the polygon.
+    """The lattice points that see every other one, and whether there is one.
 
-    Degenerate polygons (dimension <= 1) use the same definition on their
-    point set: some point must see all the others.
+    A point sees no other point of its residue class mod 2 (their
+    difference is 2*w), so only a point alone in its class can qualify:
+    at most four candidates, each checked with an early exit.  Degenerate
+    polygons (dimension <= 1) use the same definition on their point set.
     """
     pts = poly.lattice_point_set
-    seers = frozenset(p for p in pts if visible_from(p, pts) == pts)
+    classes = Counter((x % 2, y % 2) for x, y in pts)
+    alone = [p for p in pts if classes[p[0] % 2, p[1] % 2] == 1]
+    seers = frozenset(p for p in alone if all(is_visible(p, q) for q in pts))
     return PanoptigonReport(bool(seers), seers)
 
 
@@ -164,14 +169,39 @@ def hyperelliptic_panoptigon_predicate(form: HyperellipticForm) -> bool:
 
 
 def hyperelliptic_normal_form(poly: Polygon) -> HyperellipticForm:
-    """Recover form parameters by finite template search at the known genus."""
+    """Read the form off the rows, in time linear in the lattice points.
+
+    A width-2 functional is constant on the interior segment u..v, so it is
+    the normal of the segment's primitive direction d; the width is checked
+    on it.  A unimodular map from ``_ext_gcd`` sends d to (1, 0), and a
+    translation and a shear fixing the middle row put the interior at
+    (1..g, 1) and start the bottom row at (0, 0).  The boundary points of
+    the middle row (none, one or two) give the type; i and j are the bottom
+    and top row lengths and k the top row's start, as in
+    ``hyperelliptic_polygon``.  The x-mirror and the y-flip act on these
+    readings as each family's symmetries (for Type3, ``type3_orbit``), so
+    the first reading that is valid is the form.
+    """
     g = poly.genus
     if g < 2 or not is_hyperelliptic(poly):
         raise ValueError("normal form requires a hyperelliptic polygon of genus >= 2")
-    if lattice_width(poly)[0] != 2:
+    (ux, uy), (vx, vy) = poly.interior_polygon().vertices
+    dx, dy = (vx - ux) // (g - 1), (vy - uy) // (g - 1)
+    _, a, b = _ext_gcd(dx, dy)
+    rel = [(x - ux, y - uy) for x, y in poly.vertices]
+    rows = [(a * x + b * y, dx * y - dy * x) for x, y in rel]
+    if max(y for _, y in rows) - min(y for _, y in rows) != 2:
         raise ValueError("normal form requires lattice width 2")
-    target = canonical_form(poly)
-    for form in valid_forms(g):
-        if canonical_form(hyperelliptic_polygon(form)) == target:
-            return form
-    raise AssertionError("no hyperelliptic template matched; classification incomplete")
+    ends = sum(dx * (y - uy) == dy * (x - ux) for x, y in poly.boundary_point_set)
+    kind = ("Type1", "Type2", "Type3")[ends]
+    for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        # Mirror, move the interior to (1..g, 1), shear row 0 to start at 0.
+        pts = [(sx * x + 1 + (g - 1) * (sx < 0), sy * y + 1) for x, y in rows]
+        start = min(x for x, y in pts if y == 0)
+        top = [x + start for x, y in pts if y == 2]
+        i, j, k = max(x for x, y in pts if y == 0) - start, max(top) - min(top), min(top)
+        try:
+            return HyperellipticForm(kind, g, i, j if ends else 0, k if ends == 2 else 0)
+        except ValueError:
+            continue
+    raise AssertionError("no reading of the rows is a valid form; classification incomplete")

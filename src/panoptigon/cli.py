@@ -132,12 +132,7 @@ def analyze_polygon(poly: Polygon) -> AnalysisReport:
     lw, lw_dirs = lattice_width(poly)
     ld, ld_dirs = lattice_diameter(poly)
     hyp = is_hyperelliptic(poly)
-    form = None
-    if hyp and poly.genus >= 2 and lw == 2:
-        try:
-            form = hyperelliptic_normal_form(poly)
-        except ValueError:
-            form = None
+    form = hyperelliptic_normal_form(poly) if hyp and poly.genus >= 2 and lw == 2 else None
     report = is_panoptigon(poly)
     relaxed = relax(poly)
     maximal = is_maximal(poly) if poly.genus >= 1 else None
@@ -222,6 +217,7 @@ def cmd_analyze(args) -> int:
 def cmd_census(args) -> int:
     kind = args.kind
     out = _out_dir(args)
+    expected = EXPECTED_COUNTS
     summary: dict
     records: list[CensusRecord]
 
@@ -235,14 +231,10 @@ def cmd_census(args) -> int:
         if kind == "maximal-lw3" and args.genus >= 4:
             formula = maximal_lw3_count_formula(args.genus)
             summary["formula"] = formula
+            expected = {"count": formula}
             print(
-                "maximal lw3 genus %d: enumerated %d, closed-form %d%s"
-                % (
-                    args.genus,
-                    len(records),
-                    formula,
-                    "" if formula == len(records) else " (enumeration authoritative)",
-                )
+                "maximal lw3 genus %d: enumerated %d, closed-form %d"
+                % (args.genus, len(records), formula)
             )
         else:
             print("%s genus %d: %d polygons" % (kind, args.genus, len(records)))
@@ -279,9 +271,9 @@ def cmd_census(args) -> int:
     print("wrote %s and %s" % (ndjson_path, summary_path))
 
     mismatches = {
-        key: (summary[key], EXPECTED_COUNTS[key])
-        for key in EXPECTED_COUNTS
-        if key in summary and summary[key] != EXPECTED_COUNTS[key]
+        key: (summary[key], expected[key])
+        for key in expected
+        if key in summary and summary[key] != expected[key]
     }
     if mismatches:
         for key, (got, want) in sorted(mismatches.items()):

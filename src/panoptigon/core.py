@@ -23,11 +23,6 @@ def is_visible(p: Point, q: Point) -> bool:
     return gcd(abs(p[0] - q[0]), abs(p[1] - q[1])) == 1
 
 
-def visible_from(p: Point, points: Iterable[Point]) -> frozenset[Point]:
-    """Subset of ``points`` visible from p (p itself included if present)."""
-    return frozenset(q for q in points if is_visible(p, q))
-
-
 def orientation(a: Point, b: Point, c: Point) -> int:
     """Sign of the cross product (b-a) x (c-a): >0 left turn, <0 right, 0 collinear."""
     v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])

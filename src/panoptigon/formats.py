@@ -1,13 +1,12 @@
 """Text and JSON serialization shared by the library and the CLI.
 
 Polygon text format: vertices as ``x,y`` separated by single spaces, e.g.
-``0,0 2,0 0,2``.  JSON forms mirror each type's fields exactly so that every
-serialization round-trips.
+``0,0 2,0 0,2``.  JSON forms mirror each type's fields exactly, so every
+serialization can be read back (the tests hold the readers).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 
 from .classify import HyperellipticForm
@@ -51,19 +50,9 @@ def polygon_to_json(poly: Polygon) -> dict:
     return {"vertices": [[x, y] for x, y in poly.vertices]}
 
 
-def polygon_from_json(data: dict) -> Polygon:
-    return convex_hull((int(x), int(y)) for x, y in data["vertices"])
-
-
 def unimodular_map_to_json(m: UnimodularMap) -> dict:
     (a, b), (c, d) = m.matrix
     return {"matrix": [[a, b], [c, d]], "translation": list(m.translation)}
-
-
-def unimodular_map_from_json(data: dict) -> UnimodularMap:
-    (a, b), (c, d) = data["matrix"]
-    tx, ty = data.get("translation", (0, 0))
-    return UnimodularMap(((a, b), (c, d)), (tx, ty))
 
 
 def rational_polygon_to_json(poly: RationalPolygon) -> dict:
@@ -73,24 +62,8 @@ def rational_polygon_to_json(poly: RationalPolygon) -> dict:
     }
 
 
-def rational_polygon_from_json(data: dict) -> RationalPolygon:
-    return RationalPolygon(
-        tuple((Fraction(x), Fraction(y)) for x, y in data["vertices"])
-    )
-
-
 def hyperelliptic_form_to_json(form: HyperellipticForm) -> dict:
     data = {"kind": form.kind, "g": form.g, "i": form.i, "j": form.j}
     if form.kind == "Type3":
         data["k"] = form.k
     return data
-
-
-def hyperelliptic_form_from_json(data: dict) -> HyperellipticForm:
-    return HyperellipticForm(
-        kind=data["kind"],
-        g=data["g"],
-        i=data["i"],
-        j=data.get("j", 0),
-        k=data.get("k", 0),
-    )

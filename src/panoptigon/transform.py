@@ -9,7 +9,8 @@ onto the other.  Widths are measured by primitive integer functionals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations, groupby
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .core import Point, Polygon, convex_hull
@@ -134,24 +135,46 @@ def lattice_width(poly: Polygon) -> tuple[int, frozenset[Functional]]:
     return best, frozenset(winners)
 
 
+def has_lattice_segment(poly: Polygon, k: int) -> bool:
+    """Does P hold a lattice segment of length >= k (k >= 1)?
+
+    Distinct lattice points p, q share a residue mod k exactly when
+    gcd(q - p) >= k: a segment of length g >= k from p in primitive
+    direction v holds p + k*v.  So this looks for a repeated residue class.
+    """
+    pts = poly.lattice_point_set
+    return len({(x % k, y % k) for x, y in pts}) < len(pts)
+
+
 def lattice_diameter(poly: Polygon) -> tuple[int, frozenset[Functional]]:
     """Longest lattice segment in P, as (length, primitive slope vectors).
 
-    By convexity the segment between any two lattice points of P lies in P,
-    so the diameter is the all-pairs maximum of gcd(|dx|, |dy|).
+    By convexity the segment between two lattice points of P lies in P, so
+    the length D is the largest k with ``has_lattice_segment(P, k)``, a test
+    monotone in k.  D is binary-searched between isqrt(n - 1) (n > k*k
+    points cannot all differ mod k) and the box width B.  The pairs at gcd
+    D are those inside one residue class mod D, grouped by a sort, which
+    is O(n log B) as n <= (B + 1)^2; a class holds at most 4 points, as
+    p + D*w1 and p + D*w2 with w1 = w2 mod 2 would be at gcd >= 2D.
     """
-    pts = sorted(poly.lattice_point_set)
-    best = 0
-    dirs: set[Functional] = set()
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            g = gcd(abs(q[0] - p[0]), abs(q[1] - p[1]))
-            if g > best:
-                best = g
-                dirs = set()
-            if g == best:
-                dirs.add(Functional.normalized((q[0] - p[0]) // g, (q[1] - p[1]) // g))
-    return best, frozenset(dirs)
+    pts = poly.lattice_point_set
+    if len(pts) < 2:
+        return 0, frozenset()
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    lo, hi = max(1, isqrt(len(pts) - 1)), max(xmax - xmin, ymax - ymin)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if has_lattice_segment(poly, mid) else (lo, mid - 1)
+
+    def residue(p: Point) -> Point:
+        return p[0] % lo, p[1] % lo
+
+    dirs = {
+        Functional.normalized(q[0] - p[0], q[1] - p[1])
+        for _, members in groupby(sorted(pts, key=residue), residue)
+        for p, q in combinations(members, 2)
+    }
+    return lo, frozenset(dirs)
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

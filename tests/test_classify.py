@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from panoptigon import classify
 from panoptigon.classify import (
     HyperellipticForm,
+    PanoptigonReport,
     genus0_panoptigon_predicate,
     hyperelliptic_count,
     hyperelliptic_normal_form,
@@ -13,7 +17,15 @@ from panoptigon.classify import (
     trapezoid,
     valid_forms,
 )
+from panoptigon.core import is_visible
 from panoptigon.transform import UnimodularMap, canonical_form, lattice_width
+
+from conftest import (
+    panoptigon_points_oracle,
+    random_sheared_polygon,
+    random_unimodular_map,
+    template_normal_form,
+)
 
 
 def test_is_panoptigon_examples():
@@ -22,6 +34,27 @@ def test_is_panoptigon_examples():
     assert report.panoptigon_points == frozenset({(1, 1)})
     # The size-5 standard triangle has no all-seeing point.
     assert not is_panoptigon(standard_triangle(5)).is_panoptigon
+
+
+def test_is_panoptigon_matches_full_scan_oracle(monkeypatch):
+    """Same points as the full scan, testing at most four candidates."""
+    candidates = set()
+
+    def recording_is_visible(p, q):
+        candidates.add(p)
+        return is_visible(p, q)
+
+    monkeypatch.setattr(classify, "is_visible", recording_is_visible)
+    rng = random.Random(2002)
+    dimensions = set()
+    for _ in range(2000):
+        poly = random_sheared_polygon(rng)
+        dimensions.add(poly.dimension)
+        candidates.clear()
+        seers = panoptigon_points_oracle(poly)
+        assert is_panoptigon(poly) == PanoptigonReport(bool(seers), seers), poly
+        assert len(candidates) <= 4, poly
+    assert dimensions == {0, 1, 2}
 
 
 def test_trapezoid_and_triangle_constructors():
@@ -87,6 +120,15 @@ def test_normal_form_roundtrip():
         poly = hyperelliptic_polygon(form)
         sheared = UnimodularMap(((1, 2), (0, 1)), (5, -1))(poly)
         assert hyperelliptic_normal_form(sheared) == form
+
+
+def test_normal_form_matches_template_search():
+    rng = random.Random(8008)
+    for g in range(2, 9):
+        for form in valid_forms(g):
+            poly = hyperelliptic_polygon(form)
+            for image in (poly, random_unimodular_map(rng, 30)(poly)):
+                assert hyperelliptic_normal_form(image) == template_normal_form(image) == form
 
 
 def test_normal_form_rejects_non_hyperelliptic():

@@ -1,5 +1,6 @@
 import json
 import signal
+from contextlib import contextmanager
 
 from panoptigon import census, cli
 from panoptigon.census import enumerate_raw
@@ -19,6 +20,22 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextmanager
+def within_seconds(seconds):
+    """Fail with TimeoutError when the block runs longer than ``seconds``."""
+
+    def too_slow(signum, frame):
+        raise TimeoutError("took more than %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_analyze_triangle_json(capsys):
@@ -94,6 +111,16 @@ def test_census_maximal_lw3_writes_files(tmp_path, capsys):
     assert summary["count"] >= 1
     ndjson = (tmp_path / "census_maximal-lw3.ndjson").read_text()
     assert len(ndjson.strip().splitlines()) == summary["count"]
+
+
+def test_census_maximal_lw3_reports_formula_mismatch(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "maximal_lw3_count_formula", lambda g: 4)
+    code, out, err = run(
+        ["census", "maximal-lw3", "--genus", "10", "--out", str(tmp_path)], capsys
+    )
+    assert code == EXIT_COUNT_MISMATCH
+    assert "closed-form 4" in out
+    assert "count mismatch: count = 3 (expected 4)" in err
 
 
 def test_census_out_env_var(tmp_path, capsys, monkeypatch):
@@ -174,17 +201,25 @@ def test_analyze_maximal_far_from_origin(capsys):
 
     Both inputs are maximal: T_3 and the 10x2 box, each under a large shear.
     """
-
-    def too_slow(signum, frame):
-        raise TimeoutError("analyze took more than 10 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
+    with within_seconds(10):
         for text in ("0,0 3,0 300,3", "0,0 10,0 210,2 200,2"):
             code, out, _ = run(["analyze", text], capsys)
             assert code == EXIT_OK
             assert json.loads(out)["maximal"] is True, text
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+def test_analyze_large_inputs(capsys):
+    """Diameter, panoptigon points and the width-2 form grow with the point count only.
+
+    T_100 has 5,151 lattice points; the 60x2 box has genus 59.
+    """
+    with within_seconds(10):
+        code, out, _ = run(["analyze", "0,0 100,0 0,100"], capsys)
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["lattice_diameter"] == 100
+        assert report["panoptigon"] is False
+        code, out, _ = run(["analyze", "0,0 60,0 60,2 0,2"], capsys)
+        assert code == EXIT_OK
+        form = json.loads(out)["hyperelliptic_form"]
+        assert form == {"kind": "Type3", "g": 59, "i": 60, "j": 60, "k": 0}

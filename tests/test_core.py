@@ -1,8 +1,8 @@
 import random
 
-from panoptigon.core import Polygon, convex_hull, is_visible, visible_from
+from panoptigon.core import Polygon, convex_hull, is_visible
 
-from conftest import random_polygon
+from conftest import random_polygon, visible_from
 
 
 def bbox_lattice_points(poly: Polygon) -> frozenset:

@@ -3,22 +3,47 @@ from fractions import Fraction
 import pytest
 
 from panoptigon.classify import HyperellipticForm
-from panoptigon.core import convex_hull
+from panoptigon.core import Polygon, convex_hull
 from panoptigon.formats import (
     PolygonParseError,
-    hyperelliptic_form_from_json,
     hyperelliptic_form_to_json,
     parse_polygon_text,
-    polygon_from_json,
     polygon_to_json,
     polygon_to_text,
-    rational_polygon_from_json,
     rational_polygon_to_json,
-    unimodular_map_from_json,
     unimodular_map_to_json,
 )
 from panoptigon.relaxation import RationalPolygon
 from panoptigon.transform import UnimodularMap
+
+
+# Readers that invert the JSON writers; only the round-trip tests need them.
+
+
+def polygon_from_json(data: dict) -> Polygon:
+    return convex_hull((int(x), int(y)) for x, y in data["vertices"])
+
+
+def unimodular_map_from_json(data: dict) -> UnimodularMap:
+    (a, b), (c, d) = data["matrix"]
+    tx, ty = data.get("translation", (0, 0))
+    return UnimodularMap(((a, b), (c, d)), (tx, ty))
+
+
+def rational_polygon_from_json(data: dict) -> RationalPolygon:
+    return RationalPolygon(
+        tuple((Fraction(x), Fraction(y)) for x, y in data["vertices"])
+    )
+
+
+def hyperelliptic_form_from_json(data: dict) -> HyperellipticForm:
+    return HyperellipticForm(
+        kind=data["kind"],
+        g=data["g"],
+        i=data["i"],
+        j=data.get("j", 0),
+        k=data.get("k", 0),
+    )
 
 
 def test_polygon_text_roundtrip():

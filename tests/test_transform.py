@@ -8,12 +8,19 @@ from panoptigon.transform import (
     UnimodularMap,
     are_equivalent,
     canonical_form,
+    has_lattice_segment,
     lattice_diameter,
     lattice_width,
     width_wrt,
 )
 
-from conftest import bounded_lattice_width, random_polygon_2d, random_unimodular_map
+from conftest import (
+    bounded_lattice_width,
+    lattice_diameter_oracle,
+    random_polygon_2d,
+    random_sheared_polygon,
+    random_unimodular_map,
+)
 
 
 def test_functional_normalization():
@@ -73,6 +80,19 @@ def test_lattice_diameter_examples():
     assert lattice_diameter(t3)[0] == 3
     seg_heavy = convex_hull([(0, 0), (6, 0), (0, 1)])
     assert lattice_diameter(seg_heavy)[0] == 6
+
+
+def test_lattice_diameter_matches_all_pairs_oracle():
+    rng = random.Random(6006)
+    dimensions = set()
+    for _ in range(2000):
+        poly = random_sheared_polygon(rng)
+        dimensions.add(poly.dimension)
+        d, dirs = lattice_diameter_oracle(poly)
+        assert lattice_diameter(poly) == (d, dirs), poly
+        assert has_lattice_segment(poly, 3) == (d >= 3), poly
+        assert all(has_lattice_segment(poly, k) == (d >= k) for k in range(1, d + 2)), poly
+    assert dimensions == {0, 1, 2}
 
 
 def test_canonical_form_idempotent_and_invariant():
