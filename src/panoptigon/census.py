@@ -33,20 +33,11 @@ from .transform import canonical_form, has_lattice_segment, lattice_diameter, la
 FIXED_POINTS = frozenset({(0, 0), (-1, -1), (0, -1), (1, -1), (2, -1)})
 
 
-@dataclass(frozen=True)
-class CandidateFrame:
-    """The candidate lattice points for the width->=3 panoptigon census."""
-
-    fixed: frozenset[Point]
-    optional: frozenset[Point]
-
-    @property
-    def universe(self) -> frozenset[Point]:
-        return self.fixed | self.optional
-
-
-def candidate_point_set() -> CandidateFrame:
+def candidate_point_set() -> frozenset[Point]:
     """The 30 points that can appear in a panoptigon of lattice width >= 3.
+
+    ``FIXED_POINTS`` are among them, and every polygon of the census
+    contains those five.
 
     Derivation, with (0,0) as panoptigon point and the bottom row pinned to
     start at (-1,-1): height -2 admits only odd x in [-3,9]; height -1 only
@@ -67,7 +58,7 @@ def candidate_point_set() -> CandidateFrame:
             if all(is_visible((0, 0), p) for p in tri.lattice_point_set):
                 pts.add((x, y))
     assert len(pts) == 30, "the derivation above leaves exactly 30 points"
-    return CandidateFrame(FIXED_POINTS, frozenset(pts) - FIXED_POINTS)
+    return frozenset(pts)
 
 
 def convex_closed_sets(
@@ -122,12 +113,11 @@ def enumerate_raw() -> set[Polygon]:
     separately classified width-1/2 families).  Every output is
     automatically a panoptigon with panoptigon point (0,0).
     """
-    frame = candidate_point_set()
-    seed = convex_hull(frame.fixed)
-    assert seed.lattice_point_set == frame.fixed
+    seed = convex_hull(FIXED_POINTS)
+    assert seed.lattice_point_set == FIXED_POINTS
     return {
         poly
-        for poly in convex_closed_sets(frame.universe, [seed])
+        for poly in convex_closed_sets(candidate_point_set(), [seed])
         if poly.dimension == 2 and poly.genus >= 1 and lattice_width(poly)[0] >= 3
     }
 
@@ -473,9 +463,9 @@ def big_face_obstruction(poly: Polygon) -> ObstructionVerdict:
         if is_panoptigon(inner).is_panoptigon:
             return ObstructionVerdict(True)
         return ObstructionVerdict(False, "interior polygon has no all-seeing point")
-    # collinear interior points: the middle of a 3-point segment sees both
-    # neighbors, but no point of a longer segment sees every other
-    if len(inner.lattice_point_set) > 3:
+    # g collinear interior points: the middle of a 3-point segment sees
+    # both neighbors, but no point of a longer segment sees every other
+    if g > 3:
         return ObstructionVerdict(False, "more than 3 collinear interior points")
     return ObstructionVerdict(True)
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Point, Polygon, convex_hull, is_visible
+from .core import Point, Polygon, convex_hull, is_visible, segment_ends
 from .transform import _ext_gcd
 
 
@@ -175,24 +175,27 @@ def hyperelliptic_normal_form(poly: Polygon) -> HyperellipticForm:
     the normal of the segment's primitive direction d; the width is checked
     on it.  A unimodular map from ``_ext_gcd`` sends d to (1, 0), and a
     translation and a shear fixing the middle row put the interior at
-    (1..g, 1) and start the bottom row at (0, 0).  The boundary points of
-    the middle row (none, one or two) give the type; i and j are the bottom
-    and top row lengths and k the top row's start, as in
-    ``hyperelliptic_polygon``.  The x-mirror and the y-flip act on these
-    readings as each family's symmetries (for Type3, ``type3_orbit``), so
-    the first reading that is valid is the form.
+    (1..g, 1) and start the bottom row at (0, 0).  The middle row's
+    boundary points can only be u - d and v + d (a point of P beyond
+    either would make it interior), so how many of the two P contains
+    (none, one or two) gives the type; i and j are the bottom and top row
+    lengths and k the top row's start, as in ``hyperelliptic_polygon``.
+    The x-mirror and the y-flip act on these readings as each family's
+    symmetries (for Type3, ``type3_orbit``), so the first reading that is
+    valid is the form.
     """
     g = poly.genus
     if g < 2 or not is_hyperelliptic(poly):
         raise ValueError("normal form requires a hyperelliptic polygon of genus >= 2")
-    (ux, uy), (vx, vy) = poly.interior_polygon().vertices
+    inner = poly.interior_polygon()
+    (ux, uy), (vx, vy) = inner.vertices
     dx, dy = (vx - ux) // (g - 1), (vy - uy) // (g - 1)
     _, a, b = _ext_gcd(dx, dy)
     rel = [(x - ux, y - uy) for x, y in poly.vertices]
     rows = [(a * x + b * y, dx * y - dy * x) for x, y in rel]
     if max(y for _, y in rows) - min(y for _, y in rows) != 2:
         raise ValueError("normal form requires lattice width 2")
-    ends = sum(dx * (y - uy) == dy * (x - ux) for x, y in poly.boundary_point_set)
+    ends = sum(poly.contains(e) for e in segment_ends(inner))
     kind = ("Type1", "Type2", "Type3")[ends]
     for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
         # Mirror, move the interior to (1..g, 1), shear row 0 to start at 0.

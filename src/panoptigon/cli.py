@@ -60,22 +60,22 @@ class AnalysisReport:
     """Everything the library can say about one input polygon."""
 
     polygon: Polygon
-    genus: Optional[int]
-    lattice_width: Optional[int]
-    width_directions: tuple
-    lattice_diameter: Optional[int]
-    diameter_directions: tuple
-    hyperelliptic: Optional[bool]
-    hyperelliptic_form: Optional[HyperellipticForm]
-    panoptigon: Optional[bool]
-    panoptigon_points: tuple
-    interior_polygon: Optional[Polygon]
-    relaxed: Optional[RationalPolygon]
-    relaxation_lattice: Optional[bool]
-    maximal: Optional[bool]
-    canonical: Optional[Polygon]
-    big_face_passes: Optional[bool]
-    big_face_reason: Optional[str]
+    genus: Optional[int] = None
+    lattice_width: Optional[int] = None
+    width_directions: tuple = ()
+    lattice_diameter: Optional[int] = None
+    diameter_directions: tuple = ()
+    hyperelliptic: Optional[bool] = None
+    hyperelliptic_form: Optional[HyperellipticForm] = None
+    panoptigon: Optional[bool] = None
+    panoptigon_points: tuple = ()
+    interior_polygon: Optional[Polygon] = None
+    relaxed: Optional[RationalPolygon] = None
+    relaxation_lattice: Optional[bool] = None
+    maximal: Optional[bool] = None
+    canonical: Optional[Polygon] = None
+    big_face_passes: Optional[bool] = None
+    big_face_reason: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -109,25 +109,7 @@ class AnalysisReport:
 
 def analyze_polygon(poly: Polygon) -> AnalysisReport:
     if poly.dimension < 2:
-        return AnalysisReport(
-            polygon=poly,
-            genus=None,
-            lattice_width=None,
-            width_directions=(),
-            lattice_diameter=None,
-            diameter_directions=(),
-            hyperelliptic=None,
-            hyperelliptic_form=None,
-            panoptigon=None,
-            panoptigon_points=(),
-            interior_polygon=None,
-            relaxed=None,
-            relaxation_lattice=None,
-            maximal=None,
-            canonical=None,
-            big_face_passes=None,
-            big_face_reason=None,
-        )
+        return AnalysisReport(polygon=poly)
 
     lw, lw_dirs = lattice_width(poly)
     ld, ld_dirs = lattice_diameter(poly)
@@ -186,6 +168,11 @@ def _report_table(report: AnalysisReport) -> str:
     )
 
 
+def _error(message, code: int) -> int:
+    print("error: %s" % message, file=sys.stderr)
+    return code
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("PANOPTIGON_OUT") or "."
     path = Path(out)
@@ -193,17 +180,20 @@ def _out_dir(args) -> Path:
     return path
 
 
-def cmd_analyze(args) -> int:
+def _read_polygon(source: str):
+    """The polygon given as text or @file, or the exit code after an error line."""
     try:
-        text = resolve_polygon_source(args.polygon)
+        return parse_polygon_text(resolve_polygon_source(source))
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        poly = parse_polygon_text(text)
+        return _error(exc, EXIT_IO)
     except PolygonParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
+
+
+def cmd_analyze(args) -> int:
+    poly = _read_polygon(args.polygon)
+    if isinstance(poly, int):
+        return poly
     report = analyze_polygon(poly)
     if args.table:
         print(_report_table(report))
@@ -216,15 +206,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_census(args) -> int:
     kind = args.kind
-    out = _out_dir(args)
+    maximal = kind in ("maximal-lw3", "maximal-lw4")
+    if maximal and args.genus is None:
+        return _error("%s requires --genus" % kind, EXIT_USAGE)
+    if maximal and args.genus < 3:
+        return _error("%s requires --genus >= 3, got %d" % (kind, args.genus), EXIT_USAGE)
+    try:
+        out = _out_dir(args)
+    except OSError as exc:
+        return _error(exc, EXIT_IO)
     expected = EXPECTED_COUNTS
     summary: dict
     records: list[CensusRecord]
 
-    if kind in ("maximal-lw3", "maximal-lw4"):
-        if args.genus is None:
-            print("error: %s requires --genus" % kind, file=sys.stderr)
-            return EXIT_USAGE
+    if maximal:
         polys = maximal_lw3(args.genus) if kind == "maximal-lw3" else maximal_lw4(args.genus)
         records = sort_records(CensusRecord.from_polygon(p) for p in polys)
         summary = {"kind": kind, "genus": args.genus, "count": len(records)}
@@ -266,8 +261,7 @@ def cmd_census(args) -> int:
         ndjson_path.write_text(records_to_ndjson(records))
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+        return _error(exc, EXIT_IO)
     print("wrote %s and %s" % (ndjson_path, summary_path))
 
     mismatches = {
@@ -284,30 +278,17 @@ def cmd_census(args) -> int:
 
 def _write_svg(poly: Polygon, path: str, relaxed: bool) -> int:
     try:
-        svg = render_svg(poly, relaxed=relaxed)
-    except RenderError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        Path(path).write_text(svg)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
+        Path(path).write_text(render_svg(poly, relaxed=relaxed))
+    except (RenderError, OSError) as exc:
+        return _error(exc, EXIT_IO)
     print("wrote %s" % path)
     return EXIT_OK
 
 
 def cmd_render(args) -> int:
-    try:
-        text = resolve_polygon_source(args.polygon)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    try:
-        poly = parse_polygon_text(text)
-    except PolygonParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    poly = _read_polygon(args.polygon)
+    if isinstance(poly, int):
+        return poly
     return _write_svg(poly, args.svg, relaxed=args.relaxed)
 
 

@@ -43,13 +43,12 @@ class Polygon:
     calling the constructor with arbitrary points.
     """
 
-    __slots__ = ("vertices", "_lattice", "_boundary", "_cache")
+    __slots__ = ("vertices", "_lattice", "_interior")
 
     def __init__(self, vertices: tuple[Point, ...]):
         self.vertices = vertices
         self._lattice: Optional[frozenset[Point]] = None
-        self._boundary: Optional[frozenset[Point]] = None
-        self._cache: dict = {}
+        self._interior: Optional[tuple[int, Optional[Polygon]]] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -106,8 +105,7 @@ class Polygon:
     def lattice_point_set(self) -> frozenset[Point]:
         """All lattice points inside or on the polygon.
 
-        Dimension 2 uses a row-wise scan between exact rational edge
-        intersections (integer floor/ceil arithmetic); the brute-force
+        Dimension 2 uses the row scan of ``_rows``; the brute-force
         bounding-box scan lives in the tests as the oracle.
         """
         if self._lattice is None:
@@ -125,13 +123,26 @@ class Polygon:
             for t in range(steps + 1):
                 yield (a[0] + t * dx, a[1] + t * dy)
             return
+        for y, lo, hi in self._rows(0):
+            for x in range(lo, hi + 1):
+                yield (x, y)
+
+    def _rows(self, offset: int) -> Iterator[tuple[int, int, int]]:
+        """(y, lo, hi) for each nonempty row of lattice points with
+        a*x + b*y <= c + offset on every edge half-plane (dimension 2 only).
+
+        The bounds are exact rational edge intersections, rounded with
+        integer floor/ceil.  Offset 0 gives P's lattice points; offset -1
+        gives its strict interior, since for integers a*x + b*y < c exactly
+        when a*x + b*y <= c - 1.
+        """
         planes = self.halfplanes()
         ys = [y for _, y in self.vertices]
         for y in range(min(ys), max(ys) + 1):
             lo, hi = None, None
             ok = True
             for a, b, c in planes:
-                r = c - b * y
+                r = c + offset - b * y
                 if a == 0:
                     if r < 0:
                         ok = False
@@ -142,46 +153,47 @@ class Polygon:
                 else:
                     bound = -(r // -a)  # ceil of r/a with a<0
                     lo = bound if lo is None else max(lo, bound)
-            if not ok or lo is None or hi is None:
-                continue
-            for x in range(lo, hi + 1):
-                yield (x, y)
+            if ok and lo is not None and hi is not None and lo <= hi:
+                yield y, lo, hi
 
-    @property
-    def boundary_point_set(self) -> frozenset[Point]:
-        """Lattice points on the boundary (all points when dimension < 2)."""
-        if self._boundary is None:
-            if self.dimension < 2:
-                self._boundary = self.lattice_point_set
-            else:
-                pts = []
-                for (vx, vy), (wx, wy) in self.edges():
-                    dx, dy = _primitive(wx - vx, wy - vy)
-                    for t in range(gcd(abs(wx - vx), abs(wy - vy))):
-                        pts.append((vx + t * dx, vy + t * dy))
-                self._boundary = frozenset(pts)
-        return self._boundary
+    def _interior_pass(self) -> tuple[int, Optional["Polygon"]]:
+        """(genus, interior polygon) from one scan of the interior rows.
 
-    @property
-    def interior_point_set(self) -> frozenset[Point]:
-        return self.lattice_point_set - self.boundary_point_set
+        The interior polygon is the hull of the two ends of each row, which
+        holds every interior point between them.
+        """
+        if self._interior is None:
+            genus, ends = 0, []
+            if self.dimension == 2:
+                for y, lo, hi in self._rows(-1):
+                    genus += hi - lo + 1
+                    ends += ((lo, y), (hi, y))
+            self._interior = (genus, convex_hull(ends) if ends else None)
+        return self._interior
 
     @property
     def genus(self) -> int:
         """Number of strictly interior lattice points (0 when degenerate)."""
-        return len(self.interior_point_set)
+        return self._interior_pass()[0]
 
     def interior_polygon(self) -> Optional["Polygon"]:
         """Convex hull of the interior lattice points; None when genus 0."""
-        if "interior_polygon" not in self._cache:
-            pts = self.interior_point_set
-            self._cache["interior_polygon"] = convex_hull(pts) if pts else None
-        return self._cache["interior_polygon"]
+        return self._interior_pass()[1]
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [x for x, _ in self.vertices]
         ys = [y for _, y in self.vertices]
         return min(xs), min(ys), max(xs), max(ys)
+
+
+def segment_ends(seg: Polygon) -> tuple[Point, Point]:
+    """u - d and v + d for a segment with ends u, v and primitive step d from u to v.
+
+    These are the lattice points just past each end on the segment's line.
+    """
+    (ux, uy), (vx, vy) = seg.vertices
+    dx, dy = _primitive(vx - ux, vy - uy)
+    return (ux - dx, uy - dy), (vx + dx, vy + dy)
 
 
 def hull_vertices(points: Iterable) -> tuple:

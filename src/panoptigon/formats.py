@@ -36,9 +36,15 @@ def parse_polygon_text(text: str) -> Polygon:
 
 
 def resolve_polygon_source(source: str) -> str:
-    """Resolve ``@file`` indirection; anything else is returned verbatim."""
+    """Resolve ``@file`` indirection; anything else is returned verbatim.
+
+    A file that is not UTF-8 text is a parse error.
+    """
     if source.startswith("@"):
-        return Path(source[1:]).read_text().strip()
+        try:
+            return Path(source[1:]).read_text(encoding="utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise PolygonParseError("%s is not UTF-8 text: %s" % (source[1:], exc)) from exc
     return source
 
 

@@ -2,8 +2,8 @@
 
 Relaxing a polygon pushes every edge's half-plane out by one lattice unit
 (c -> c + 1 with a primitive normal).  The result can fail to be a lattice
-polygon, and edges can collapse; both phenomena are detected exactly with
-rational arithmetic.
+polygon, and edges can collapse; its vertices are exact rationals, so
+``is_lattice`` decides the first exactly.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Optional
 
-from .core import Polygon, convex_hull, hull_vertices
+from .core import Polygon, convex_hull, hull_vertices, segment_ends
 from .transform import canonical_form
 
 RationalPoint = tuple[Fraction, Fraction]
@@ -37,8 +36,6 @@ class RationalPolygon:
     """Convex polygon with exact rational vertices in CCW order."""
 
     vertices: tuple[RationalPoint, ...]
-    # pushed-out (a, b, c) of Polygon.halfplanes that no longer carry an edge
-    collapsed_edges: tuple[tuple[int, int, int], ...] = ()
 
     @property
     def is_lattice(self) -> bool:
@@ -51,15 +48,6 @@ class RationalPolygon:
         if not self.is_lattice:
             raise ValueError("polygon has non-integral vertices")
         return convex_hull((int(x), int(y)) for x, y in self.vertices)
-
-    def contains(self, p: RationalPoint) -> bool:
-        vs = self.vertices
-        n = len(vs)
-        for i in range(n):
-            (ax, ay), (bx, by) = vs[i], vs[(i + 1) % n]
-            if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -81,8 +69,9 @@ def _intersect(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> Optional[R
 def relax(poly: Polygon) -> RationalPolygon:
     """Intersection of all edge half-planes pushed out by one unit.
 
-    Vertices are exact rationals.  Edges whose pushed-out line no longer
-    supports a one-dimensional face are reported in ``collapsed_edges``.
+    Vertices are exact rationals, hulled from the pairwise intersections
+    of the pushed-out lines that satisfy every half-plane.  An edge whose
+    pushed-out line meets the result in at most a point has collapsed.
     """
     if poly.dimension != 2:
         raise ValueError("relaxation requires dimension 2")
@@ -92,13 +81,7 @@ def relax(poly: Polygon) -> RationalPolygon:
         p = _intersect(h1, h2)
         if p is not None and all(a * p[0] + b * p[1] <= c for a, b, c in planes):
             pts.append(p)
-    verts = hull_vertices(pts)
-    collapsed = []
-    for a, b, c in planes:
-        on_line = [v for v in verts if a * v[0] + b * v[1] == c]
-        if len(on_line) < 2:
-            collapsed.append((a, b, c))
-    return RationalPolygon(verts, tuple(collapsed))
+    return RationalPolygon(hull_vertices(pts))
 
 
 def relaxed_lattice(poly: Polygon):
@@ -146,8 +129,4 @@ def is_maximal(poly: Polygon) -> bool:
         return isinstance(r, Polygon) and r == poly
     if inner.dimension == 0:
         return canonical_form(poly) in _GENUS1_MAXIMAL_FORMS
-    u, v = inner.vertices
-    g = gcd(v[0] - u[0], v[1] - u[1])
-    dx, dy = (v[0] - u[0]) // g, (v[1] - u[1]) // g
-    ends = ((u[0] - dx, u[1] - dy), (v[0] + dx, v[1] + dy))
-    return all(poly.contains(e) and e not in poly.vertices for e in ends)
+    return all(poly.contains(e) and e not in poly.vertices for e in segment_ends(inner))

@@ -22,6 +22,15 @@ def census(raw_polygons):
     return full_panoptigon_census(raw=raw_polygons)
 
 
+def boundary_point_count(poly: Polygon) -> int:
+    """Lattice points on the boundary of a 2-dimensional polygon: the sum of the edge gcds.
+
+    With the shoelace area this gives the genus by Pick's theorem,
+    2A = 2g + b - 2, a route independent of the row scan.
+    """
+    return sum(gcd(abs(w[0] - v[0]), abs(w[1] - v[1])) for v, w in poly.edges())
+
+
 def random_polygon(rng: random.Random, span: int = 6, points: int = 6) -> Polygon:
     """A random small polygon (any dimension) inside a span x span box."""
     pts = {(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(points)}

@@ -35,7 +35,7 @@ from panoptigon.transform import (
     lattice_width,
 )
 
-from conftest import bounded_lattice_width, random_polygon, random_unimodular_map
+from conftest import boundary_point_count, bounded_lattice_width, random_polygon, random_unimodular_map
 
 
 def emit(capsys, num, ok, detail):
@@ -330,8 +330,7 @@ def test_criterion_10_invariant_suites(census, capsys):
         if poly.dimension != 2:
             continue
         pick_checked += 1
-        b = len(poly.boundary_point_set)
-        if poly.double_area != 2 * poly.genus + b - 2:
+        if poly.double_area != 2 * poly.genus + boundary_point_count(poly) - 2:
             violations.append(("pick", poly))
         if canonical_form(canonical_form(poly)) != canonical_form(poly):
             violations.append(("idempotence-random", poly))

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 from panoptigon.census import (
+    FIXED_POINTS,
     SPORADIC_CONTAINER_TRAPEZOIDS,
     CensusRecord,
     big_face_obstruction,
@@ -35,8 +36,8 @@ from panoptigon.transform import are_equivalent, canonical_form, lattice_diamete
 
 def test_candidate_frame_has_thirty_points():
     frame = candidate_point_set()
-    assert len(frame.universe) == 30
-    assert frame.fixed <= frame.universe
+    assert len(frame) == 30
+    assert FIXED_POINTS <= frame
 
 
 def test_raw_enumeration_count(raw_polygons):
@@ -88,12 +89,10 @@ def _tested_once(keep):
 def test_closed_sets_match_frozenset_oracle_on_frame():
     frame = candidate_point_set()
     walk = convex_closed_sets(
-        frame.universe, [convex_hull(frame.fixed)], keep=_tested_once(lambda poly: True)
+        frame, [convex_hull(FIXED_POINTS)], keep=_tested_once(lambda poly: True)
     )
     assert len(walk) == 345
-    assert {poly.lattice_point_set for poly in walk} == _closed_sets_oracle(
-        frame.universe, [frame.fixed]
-    )
+    assert {poly.lattice_point_set for poly in walk} == _closed_sets_oracle(frame, [FIXED_POINTS])
 
 
 @pytest.mark.parametrize("a,b", [(2, 2), (0, 2)])

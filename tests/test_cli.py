@@ -2,6 +2,8 @@ import json
 import signal
 from contextlib import contextmanager
 
+import pytest
+
 from panoptigon import census, cli
 from panoptigon.census import enumerate_raw
 from panoptigon.cli import (
@@ -94,10 +96,36 @@ def test_file_indirection_missing_file(capsys):
     assert code == EXIT_IO
 
 
+def test_file_indirection_not_utf8_is_parse_error(tmp_path, capsys):
+    src = tmp_path / "poly.txt"
+    src.write_bytes(b"0,0 3,0 0,3\xff\n")
+    code, out, err = run(["analyze", "@" + str(src)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "UTF-8" in err
+    assert out == ""
+
+
+def test_census_out_is_existing_file_exits_io(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, out, err = run(["census", "raw", "--out", str(target)], capsys)
+    assert code == EXIT_IO
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 def test_census_maximal_requires_genus(tmp_path, capsys):
     code, _, err = run(["census", "maximal-lw3", "--out", str(tmp_path)], capsys)
     assert code == EXIT_USAGE
     assert "--genus" in err
+
+
+@pytest.mark.parametrize("kind,genus", [("maximal-lw3", 2), ("maximal-lw4", 1)])
+def test_census_maximal_refuses_genus_below_three(tmp_path, capsys, kind, genus):
+    code, out, err = run(["census", kind, "--genus", str(genus), "--out", str(tmp_path)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "--genus >= 3" in err
+    assert out == ""
 
 
 def test_census_maximal_lw3_writes_files(tmp_path, capsys):

@@ -1,17 +1,21 @@
 import random
 
-from panoptigon.core import Polygon, convex_hull, is_visible
+from panoptigon import core
+from panoptigon.core import Polygon, convex_hull, is_visible, orientation
 
-from conftest import random_polygon, visible_from
+from conftest import boundary_point_count, random_polygon, visible_from
 
 
-def bbox_lattice_points(poly: Polygon) -> frozenset:
+def bbox_lattice_points(poly: Polygon, strict: bool = False) -> frozenset:
+    """Brute force over the bounding box: points on or left of every CCW
+    edge, or with ``strict`` only those strictly left of every edge."""
     xmin, ymin, xmax, ymax = poly.bounding_box()
+    least = 1 if strict else 0
     return frozenset(
         (x, y)
         for x in range(xmin, xmax + 1)
         for y in range(ymin, ymax + 1)
-        if poly.contains((x, y))
+        if all(orientation(v, w, (x, y)) >= least for v, w in poly.edges())
     )
 
 
@@ -62,7 +66,7 @@ def test_contains_boundary_and_exterior():
 def test_lattice_points_of_standard_triangle():
     poly = convex_hull([(0, 0), (3, 0), (0, 3)])
     assert len(poly.lattice_point_set) == 10
-    assert poly.interior_point_set == frozenset({(1, 1)})
+    assert poly.interior_polygon().vertices == ((1, 1),)
     assert poly.genus == 1
 
 
@@ -72,6 +76,9 @@ def test_row_scan_matches_bbox_oracle_on_random_polygons():
         poly = random_polygon(rng)
         if poly.dimension == 2:
             assert poly.lattice_point_set == bbox_lattice_points(poly), poly
+            inner = bbox_lattice_points(poly, strict=True)
+            assert poly.genus == len(inner), poly
+            assert poly.interior_polygon() == (convex_hull(inner) if inner else None), poly
 
 
 def test_pick_identity_on_random_polygons():
@@ -79,8 +86,7 @@ def test_pick_identity_on_random_polygons():
     for _ in range(300):
         poly = random_polygon(rng)
         if poly.dimension == 2:
-            b = len(poly.boundary_point_set)
-            assert poly.double_area == 2 * poly.genus + b - 2, poly
+            assert poly.double_area == 2 * poly.genus + boundary_point_count(poly) - 2, poly
 
 
 def test_interior_polygon():
@@ -88,6 +94,23 @@ def test_interior_polygon():
     assert t4.interior_polygon().vertices == ((1, 1), (2, 1), (1, 2))
     square = convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert square.interior_polygon() is None
+
+
+def test_interior_polygon_hulls_only_row_ends(monkeypatch):
+    d = 600
+    triangle = convex_hull([(0, 0), (d, 0), (0, d)])
+    sizes = []
+
+    def recording_hull(points):
+        points = list(points)
+        sizes.append(len(points))
+        return convex_hull(points)
+
+    monkeypatch.setattr(core, "convex_hull", recording_hull)
+    assert triangle.interior_polygon().vertices == ((1, 1), (d - 2, 1), (1, d - 2))
+    assert triangle.genus == (d - 1) * (d - 2) // 2 == 179_101
+    # Two ends for each of the d - 2 rows of interior points, not all of them.
+    assert sizes and max(sizes) <= 2 * (d - 1)
 
 
 def translate(poly: Polygon, dx: int, dy: int) -> Polygon:
