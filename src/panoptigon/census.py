@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional
 
 from .classify import (
     HyperellipticForm,
-    hyperelliptic_panoptigon_predicate,
     hyperelliptic_polygon,
     is_hyperelliptic,
     is_panoptigon,
@@ -140,7 +139,6 @@ class CensusRecord:
     def from_polygon(cls, poly: Polygon) -> "CensusRecord":
         canon = canonical_form(poly)
         relaxed = relaxed_lattice(canon)
-        lattice = isinstance(relaxed, Polygon)
         return cls(
             canonical=canon,
             lattice_point_count=len(canon.lattice_point_set),
@@ -149,8 +147,8 @@ class CensusRecord:
             lattice_diameter=lattice_diameter(canon)[0],
             hyperelliptic=is_hyperelliptic(canon),
             panoptigon_points=tuple(sorted(is_panoptigon(canon).panoptigon_points)),
-            relaxation_lattice=lattice,
-            max_polygon=relaxed if lattice else None,
+            relaxation_lattice=relaxed is not None,
+            max_polygon=relaxed,
         )
 
     def sort_key(self):
@@ -235,7 +233,7 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
         for a, b in SPORADIC_CONTAINER_TRAPEZOIDS:
             inner = trapezoid(a, b)
             container = relaxed_lattice(inner)
-            assert isinstance(container, Polygon)
+            assert container is not None
             walk = convex_closed_sets(
                 container.lattice_point_set,
                 [inner],
@@ -322,7 +320,7 @@ def maximal_lw3(g: int) -> list[Polygon]:
         if a > b or b < 1 or 2 * a < b - 2:
             continue
         relaxed = relaxed_lattice(trapezoid(a, b))
-        if not isinstance(relaxed, Polygon):
+        if relaxed is None:
             continue
         if lattice_width(relaxed)[0] != 3:
             continue
@@ -375,54 +373,20 @@ def maximal_lw4(g: int) -> list[Polygon]:
         if len(inner.lattice_point_set) != g:
             continue
         relaxed = relaxed_lattice(inner)
-        if isinstance(relaxed, Polygon):
+        if relaxed is not None:
             candidates.append(relaxed)
     for g0 in range(2, g - 2):
         for form in valid_forms(g0):
             if form.lattice_point_count() != g or not relax_condition(form):
                 continue
             relaxed = relaxed_lattice(hyperelliptic_polygon(form))
-            assert isinstance(relaxed, Polygon)
+            assert relaxed is not None
             candidates.append(relaxed)
     out: dict[Polygon, Polygon] = {}
     for poly in candidates:
         if poly.genus == g and lattice_width(poly)[0] == 4 and is_maximal(poly):
             out.setdefault(canonical_form(poly), poly)
     return sorted(out.values(), key=lambda p: p.vertices)
-
-
-def corollary_lw12_check() -> dict:
-    """Max lattice-point count over width-<=2 panoptigons with lattice relaxation.
-
-    Covers every family that can be the interior polygon of a larger
-    polygon: trapezoids (a <= 2 for the panoptigon property, a >= b/2 - 1
-    for integrality, so b <= 6), genus-1 width-2 polygons, and the width-2
-    forms that are panoptigons and pass the integrality condition.  The
-    bound asserted downstream is 11.
-    """
-    counts: list[tuple[str, int]] = []
-    for b in range(1, 7):
-        for a in range(0, min(b, 2) + 1):
-            if 2 * a >= b - 2:
-                counts.append(("T(%d,%d)" % (a, b), len(trapezoid(a, b).lattice_point_set)))
-    counts.append(("T_2", len(standard_triangle(2).lattice_point_set)))
-    for poly in genus1_lw2_classes():
-        counts.append(("genus-1 %s" % (poly,), len(poly.lattice_point_set)))
-    height1_free = 0
-    for g in range(2, 9):
-        for form in valid_forms(g):
-            if hyperelliptic_panoptigon_predicate(form) and relax_condition(form):
-                polygon = hyperelliptic_polygon(form)
-                counts.append((str(form), len(polygon.lattice_point_set)))
-                if not any(y == 1 for _, y in is_panoptigon(polygon).panoptigon_points):
-                    height1_free += 1
-    name, best = max(counts, key=lambda t: t[1])
-    return {
-        "max_count": best,
-        "witness": name,
-        "cases": len(counts),
-        "forms_without_height1_point": height1_free,
-    }
 
 
 @dataclass(frozen=True)
@@ -468,21 +432,3 @@ def big_face_obstruction(poly: Polygon) -> ObstructionVerdict:
     if g > 3:
         return ObstructionVerdict(False, "more than 3 collinear interior points")
     return ObstructionVerdict(True)
-
-
-def obstruction_witnesses() -> dict[int, Polygon]:
-    """A PASSES example for every genus from 2 through 11."""
-    out: dict[int, Polygon] = {}
-    out[2] = hyperelliptic_polygon(HyperellipticForm("Type1", 2, 2))
-    out[3] = standard_triangle(4)
-    for a, b in ((0, 2), (1, 2), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)):
-        relaxed = relaxed_lattice(trapezoid(a, b))
-        assert isinstance(relaxed, Polygon)
-        out[relaxed.genus] = relaxed
-    big = relaxed_lattice(hyperelliptic_polygon(HyperellipticForm("Type1", 3, 3)))
-    assert isinstance(big, Polygon)
-    out[big.genus] = big
-    assert sorted(out) == list(range(2, 12))
-    for g, poly in out.items():
-        assert poly.genus == g and big_face_obstruction(poly).passes
-    return out

@@ -52,13 +52,6 @@ def standard_triangle(d: int) -> Polygon:
     return convex_hull([(0, 0), (d, 0), (0, d)])
 
 
-def genus0_panoptigon_predicate(a: int, b: int) -> bool:
-    """T(a, b) is a panoptigon iff a <= 2 (a row of 4 blocks all views)."""
-    if not (0 <= a <= b and b >= 1):
-        raise ValueError("trapezoid requires 0 <= a <= b and b >= 1")
-    return a <= 2
-
-
 def is_hyperelliptic(poly: Polygon) -> bool:
     """Interior polygon has dimension <= 1 (empty interior counts)."""
     inner = poly.interior_polygon()

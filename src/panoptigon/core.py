@@ -72,16 +72,6 @@ class Polygon:
         for i, v in enumerate(vs):
             yield v, vs[(i + 1) % len(vs)]
 
-    @property
-    def double_area(self) -> int:
-        """Twice the Euclidean area by the shoelace formula (0 if degenerate)."""
-        vs = self.vertices
-        s = 0
-        for i, (x0, y0) in enumerate(vs):
-            x1, y1 = vs[(i + 1) % len(vs)]
-            s += x0 * y1 - x1 * y0
-        return s
-
     def halfplanes(self) -> list[tuple[int, int, int]]:
         """Primitive (a, b, c) with P = {a*x + b*y <= c}; one per edge."""
         out = []

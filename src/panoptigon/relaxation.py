@@ -8,7 +8,7 @@ polygon, and edges can collapse; its vertices are exact rationals, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -44,19 +44,6 @@ class RationalPolygon:
     def nonlattice_vertices(self) -> list[RationalPoint]:
         return [v for v in self.vertices if v[0].denominator != 1 or v[1].denominator != 1]
 
-    def to_lattice(self) -> Polygon:
-        if not self.is_lattice:
-            raise ValueError("polygon has non-integral vertices")
-        return convex_hull((int(x), int(y)) for x, y in self.vertices)
-
-
-@dataclass(frozen=True)
-class NotLattice:
-    """Failed relaxation, carrying one non-integral vertex in lowest terms."""
-
-    witness: RationalPoint
-    relaxed: RationalPolygon = field(compare=False)
-
 
 def _intersect(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> Optional[RationalPoint]:
     (a1, b1, c1), (a2, b2, c2) = h1, h2
@@ -84,13 +71,12 @@ def relax(poly: Polygon) -> RationalPolygon:
     return RationalPolygon(hull_vertices(pts))
 
 
-def relaxed_lattice(poly: Polygon):
-    """Relax and return a lattice Polygon, or NotLattice with a witness."""
+def relaxed_lattice(poly: Polygon) -> Optional[Polygon]:
+    """relax(P) as a lattice Polygon, or None when a vertex is not integral."""
     r = relax(poly)
-    bad = r.nonlattice_vertices()
-    if bad:
-        return NotLattice(bad[0], r)
-    return r.to_lattice()
+    if not r.is_lattice:
+        return None
+    return convex_hull((int(x), int(y)) for x, y in r.vertices)
 
 
 def is_maximal(poly: Polygon) -> bool:
@@ -125,8 +111,7 @@ def is_maximal(poly: Polygon) -> bool:
         raise ValueError("maximality undefined without interior points")
     inner = poly.interior_polygon()
     if inner.dimension == 2:
-        r = relaxed_lattice(inner)
-        return isinstance(r, Polygon) and r == poly
+        return relaxed_lattice(inner) == poly
     if inner.dimension == 0:
         return canonical_form(poly) in _GENUS1_MAXIMAL_FORMS
     return all(poly.contains(e) and e not in poly.vertices for e in segment_ends(inner))

@@ -74,65 +74,63 @@ class UnimodularMap:
         return UnimodularMap(inv, (itx, ity))
 
 
-def width_wrt(poly: Polygon, f: Functional) -> int:
-    """max - min of the functional over the polygon's vertices."""
-    vals = [f(v) for v in poly.vertices]
+def width_wrt(poly: Polygon, f: tuple[int, int]) -> int:
+    """max - min of alpha*x + beta*y over the polygon's vertices, f = (alpha, beta)."""
+    alpha, beta = f
+    vals = [alpha * x + beta * y for x, y in poly.vertices]
     return max(vals) - min(vals)
 
 
 def lattice_width(poly: Polygon) -> tuple[int, frozenset[Functional]]:
     """Minimum width over primitive functionals, with all minimizers found.
 
-    Candidates are parameterized by their values (s1, s2) on two
-    independent vertex-difference vectors d1, d2: any minimizer f has
-    |f(d)| <= width(f) <= B for every difference vector d of the polygon,
-    where B = min(axis-aligned widths), so scanning |s1|, |s2| <= B and
-    keeping the integral functionals covers every minimizer regardless of
-    how sheared the polygon is.  The tests check it against a bounded scan
-    of all functionals.
+    h(f) = ``width_wrt(P, f)`` is a norm on functionals when P is
+    2-dimensional.  Generalized Gauss reduction (Kaib & Schnorr,
+    J. Algorithms 1996) turns (1,0), (0,1) into a basis b1, b2 with
+    h(b1) <= h(b2) <= h(b2 - mu*b1) for every integer mu; then w = h(b1) and
+    every f independent of b1 has h(f) >= h(b2).  Each step replaces b2 by
+    b2 - mu*b1 at the integer minimum of h there, which is convex in mu and
+    above h(b2) once |mu|*h(b1) > 2*h(b2), so mu is binary-searched in that
+    range.  Minimizers: only +-b1 when h(b2) > w.  Otherwise a minimizer
+    f = m*b1 + n*b2 has |m|, |n| <= 2: {h <= w} contains conv(+-b1, +-f), of
+    area 2|n|, and conv(+-b2, +-f), of area 2|m|, and its interior holds no
+    nonzero lattice point, so by Minkowski each area is at most 4.
     """
     if poly.dimension == 0:
         return 0, frozenset()
     if poly.dimension == 1:
         (ax, ay), (bx, by) = poly.vertices
         return 0, frozenset({Functional.normalized(by - ay, ax - bx)})
-    fx, fy = Functional(1, 0), Functional(0, 1)
-    best = min(width_wrt(poly, fx), width_wrt(poly, fy))
-    winners: set[Functional] = set()
-    v0, v1, v2 = poly.vertices[0], poly.vertices[1], poly.vertices[2]
-    d1 = (v1[0] - v0[0], v1[1] - v0[1])
-    d2 = (v2[0] - v0[0], v2[1] - v0[1])
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    b = best
-    for s1 in range(0, b + 1):
-        if s1 > best:
+    memo: dict[Point, int] = {}
+
+    def h(f: Point) -> int:
+        if f not in memo:
+            memo[f] = width_wrt(poly, f)
+        return memo[f]
+
+    def combine(m: int, u: Point, n: int, v: Point) -> Point:
+        return m * u[0] + n * v[0], m * u[1] + n * v[1]
+
+    b1, b2 = sorted([(1, 0), (0, 1)], key=h)
+    while True:
+        hi = 2 * h(b2) // h(b1)
+        lo = -hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if h(combine(1, b2, -mid, b1)) <= h(combine(1, b2, -mid - 1, b1)):
+                hi = mid
+            else:
+                lo = mid + 1
+        b2 = combine(1, b2, -lo, b1)
+        if h(b2) >= h(b1):
             break
-        s2_range = range(1, b + 1) if s1 == 0 else range(-b, b + 1)
-        for s2 in s2_range:
-            if abs(s2) > best:
-                continue
-            # Solve f(d1) = s1, f(d2) = s2 by Cramer's rule; skip
-            # non-integral or non-primitive solutions.
-            anum = s1 * d2[1] - s2 * d1[1]
-            bnum = s2 * d1[0] - s1 * d2[0]
-            if anum % det or bnum % det:
-                continue
-            alpha, beta = anum // det, bnum // det
-            if gcd(abs(alpha), abs(beta)) != 1:
-                continue
-            f = Functional.normalized(alpha, beta)
-            w = width_wrt(poly, f)
-            if w < best:
-                best = w
-                winners = {f}
-            elif w == best:
-                winners.add(f)
-    if not winners:
-        # The axis minimum was never beaten; recover its minimizers.
-        for f in (fx, fy):
-            if width_wrt(poly, f) == best:
-                winners.add(f)
-    return best, frozenset(winners)
+        b1, b2 = b2, b1
+    w = h(b1)
+    if h(b2) > w:
+        return w, frozenset({Functional.normalized(*b1)})
+    # (n, m) > (0, 0) takes one of each pair +-f.
+    near = (combine(m, b1, n, b2) for m in range(-2, 3) for n in range(3) if (n, m) > (0, 0))
+    return w, frozenset(Functional.normalized(*f) for f in near if h(f) == w)
 
 
 def has_lattice_segment(poly: Polygon, k: int) -> bool:

@@ -5,10 +5,25 @@ from typing import Iterable
 
 import pytest
 
-from panoptigon.census import enumerate_raw, full_panoptigon_census
-from panoptigon.classify import HyperellipticForm, hyperelliptic_polygon, valid_forms
+from panoptigon.census import (
+    big_face_obstruction,
+    enumerate_raw,
+    full_panoptigon_census,
+    genus1_lw2_classes,
+    relax_condition,
+)
+from panoptigon.classify import (
+    HyperellipticForm,
+    hyperelliptic_panoptigon_predicate,
+    hyperelliptic_polygon,
+    is_panoptigon,
+    standard_triangle,
+    trapezoid,
+    valid_forms,
+)
 from panoptigon.core import Point, Polygon, convex_hull, is_visible
-from panoptigon.transform import Functional, UnimodularMap, canonical_form
+from panoptigon.relaxation import relaxed_lattice
+from panoptigon.transform import Functional, UnimodularMap, canonical_form, width_wrt
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +35,12 @@ def raw_polygons() -> set[Polygon]:
 def census(raw_polygons):
     """(non-hyperelliptic records, width>=3 records incl. the triangle)."""
     return full_panoptigon_census(raw=raw_polygons)
+
+
+def double_area(poly: Polygon) -> int:
+    """Twice the Euclidean area by the shoelace formula (0 if degenerate)."""
+    vs = poly.vertices
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]))
 
 
 def boundary_point_count(poly: Polygon) -> int:
@@ -68,6 +89,60 @@ def bounded_lattice_width(poly: Polygon, bound: int) -> int:
                 values = [alpha * x + beta * y for x, y in poly.vertices]
                 widths.append(max(values) - min(values))
     return min(widths)
+
+
+def lattice_width_oracle(poly: Polygon) -> tuple[int, frozenset[Functional]]:
+    """Box scan: the minimum width and every primitive functional attaining it.
+
+    Candidates are parameterized by their values (s1, s2) on two
+    independent vertex-difference vectors d1, d2: any minimizer f has
+    |f(d)| <= width(f) <= B for every difference vector d of the polygon,
+    where B = min(axis-aligned widths), so scanning |s1|, |s2| <= B and
+    keeping the integral functionals covers every minimizer regardless of
+    how sheared the polygon is.  Cost O(w * B).
+    """
+    if poly.dimension == 0:
+        return 0, frozenset()
+    if poly.dimension == 1:
+        (ax, ay), (bx, by) = poly.vertices
+        return 0, frozenset({Functional.normalized(by - ay, ax - bx)})
+    fx, fy = Functional(1, 0), Functional(0, 1)
+    best = min(width_wrt(poly, fx), width_wrt(poly, fy))
+    winners: set[Functional] = set()
+    v0, v1, v2 = poly.vertices[0], poly.vertices[1], poly.vertices[2]
+    d1 = (v1[0] - v0[0], v1[1] - v0[1])
+    d2 = (v2[0] - v0[0], v2[1] - v0[1])
+    det = d1[0] * d2[1] - d1[1] * d2[0]
+    b = best
+    for s1 in range(0, b + 1):
+        if s1 > best:
+            break
+        s2_range = range(1, b + 1) if s1 == 0 else range(-b, b + 1)
+        for s2 in s2_range:
+            if abs(s2) > best:
+                continue
+            # Solve f(d1) = s1, f(d2) = s2 by Cramer's rule; skip
+            # non-integral or non-primitive solutions.
+            anum = s1 * d2[1] - s2 * d1[1]
+            bnum = s2 * d1[0] - s1 * d2[0]
+            if anum % det or bnum % det:
+                continue
+            alpha, beta = anum // det, bnum // det
+            if gcd(abs(alpha), abs(beta)) != 1:
+                continue
+            f = Functional.normalized(alpha, beta)
+            w = width_wrt(poly, f)
+            if w < best:
+                best = w
+                winners = {f}
+            elif w == best:
+                winners.add(f)
+    if not winners:
+        # The axis minimum was never beaten; recover its minimizers.
+        for f in (fx, fy):
+            if width_wrt(poly, f) == best:
+                winners.add(f)
+    return best, frozenset(winners)
 
 
 def random_sheared_polygon(rng: random.Random, span: int = 3, shear: int = 30) -> Polygon:
@@ -131,3 +206,62 @@ def template_normal_form(poly: Polygon) -> HyperellipticForm:
     Each template's canonical form is computed once per genus.
     """
     return _templates(poly.genus)[canonical_form(poly)]
+
+
+def genus0_panoptigon_predicate(a: int, b: int) -> bool:
+    """T(a, b) is a panoptigon iff a <= 2 (a row of 4 blocks all views)."""
+    if not (0 <= a <= b and b >= 1):
+        raise ValueError("trapezoid requires 0 <= a <= b and b >= 1")
+    return a <= 2
+
+
+def corollary_lw12_check() -> dict:
+    """Max lattice-point count over width-<=2 panoptigons with lattice relaxation.
+
+    Covers every family that can be the interior polygon of a larger
+    polygon: trapezoids (a <= 2 for the panoptigon property, a >= b/2 - 1
+    for integrality, so b <= 6), genus-1 width-2 polygons, and the width-2
+    forms that are panoptigons and pass the integrality condition.  The
+    bound asserted downstream is 11.
+    """
+    counts: list[tuple[str, int]] = []
+    for b in range(1, 7):
+        for a in range(0, min(b, 2) + 1):
+            if 2 * a >= b - 2:
+                counts.append(("T(%d,%d)" % (a, b), len(trapezoid(a, b).lattice_point_set)))
+    counts.append(("T_2", len(standard_triangle(2).lattice_point_set)))
+    for poly in genus1_lw2_classes():
+        counts.append(("genus-1 %s" % (poly,), len(poly.lattice_point_set)))
+    height1_free = 0
+    for g in range(2, 9):
+        for form in valid_forms(g):
+            if hyperelliptic_panoptigon_predicate(form) and relax_condition(form):
+                polygon = hyperelliptic_polygon(form)
+                counts.append((str(form), len(polygon.lattice_point_set)))
+                if not any(y == 1 for _, y in is_panoptigon(polygon).panoptigon_points):
+                    height1_free += 1
+    name, best = max(counts, key=lambda t: t[1])
+    return {
+        "max_count": best,
+        "witness": name,
+        "cases": len(counts),
+        "forms_without_height1_point": height1_free,
+    }
+
+
+def obstruction_witnesses() -> dict[int, Polygon]:
+    """A PASSES example for every genus from 2 through 11."""
+    out: dict[int, Polygon] = {}
+    out[2] = hyperelliptic_polygon(HyperellipticForm("Type1", 2, 2))
+    out[3] = standard_triangle(4)
+    for a, b in ((0, 2), (1, 2), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6)):
+        relaxed = relaxed_lattice(trapezoid(a, b))
+        assert relaxed is not None
+        out[relaxed.genus] = relaxed
+    big = relaxed_lattice(hyperelliptic_polygon(HyperellipticForm("Type1", 3, 3)))
+    assert big is not None
+    out[big.genus] = big
+    assert sorted(out) == list(range(2, 12))
+    for g, poly in out.items():
+        assert poly.genus == g and big_face_obstruction(poly).passes
+    return out

@@ -9,16 +9,13 @@ import random
 
 from panoptigon.census import (
     big_face_obstruction,
-    corollary_lw12_check,
     genus1_classes,
     genus1_lw2_classes,
     maximal_lw3,
     maximal_lw3_count_formula,
-    obstruction_witnesses,
     relax_condition,
 )
 from panoptigon.classify import (
-    genus0_panoptigon_predicate,
     hyperelliptic_panoptigon_predicate,
     hyperelliptic_polygon,
     is_hyperelliptic,
@@ -28,14 +25,23 @@ from panoptigon.classify import (
     valid_forms,
 )
 from panoptigon.core import convex_hull
-from panoptigon.relaxation import NotLattice, is_maximal, relaxed_lattice
+from panoptigon.relaxation import is_maximal, relax, relaxed_lattice
 from panoptigon.transform import (
     UnimodularMap,
     canonical_form,
     lattice_width,
 )
 
-from conftest import boundary_point_count, bounded_lattice_width, random_polygon, random_unimodular_map
+from conftest import (
+    boundary_point_count,
+    bounded_lattice_width,
+    corollary_lw12_check,
+    double_area,
+    genus0_panoptigon_predicate,
+    obstruction_witnesses,
+    random_polygon,
+    random_unimodular_map,
+)
 
 
 def emit(capsys, num, ok, detail):
@@ -59,7 +65,7 @@ def correspondence_map(p, q):
     it is integral, has determinant +-1 and sends vertex set onto vertex set.
     """
     n = len(p.vertices)
-    if len(q.vertices) != n or p.double_area != q.double_area:
+    if len(q.vertices) != n or double_area(p) != double_area(q):
         return None
     (x0, y0), (x1, y1), (x2, y2) = p.vertices[:3]
     # Adjugate of the matrix with columns v1 - v0 and v2 - v0.
@@ -154,9 +160,8 @@ def test_criterion_03_big_records_nonlattice_relaxation(census, capsys):
     big = [r for r in nonhyp if r.lattice_point_count >= 12]
     witnessed = 0
     for r in big:
-        result = relaxed_lattice(r.canonical)
-        if isinstance(result, NotLattice):
-            x, y = result.witness
+        if relaxed_lattice(r.canonical) is None:
+            x, y = relax(r.canonical).nonlattice_vertices()[0]
             if x.denominator > 1 or y.denominator > 1:
                 witnessed += 1
     ok = len(big) == 23 and witnessed == 23
@@ -199,7 +204,7 @@ def test_criterion_05_classifier_oracle_equivalences(capsys):
                 mismatches.append(("panoptigon", form))
     for g in range(2, 11):
         for form in valid_forms(g):
-            direct = not isinstance(relaxed_lattice(hyperelliptic_polygon(form)), NotLattice)
+            direct = relaxed_lattice(hyperelliptic_polygon(form)) is not None
             if relax_condition(form) != direct:
                 mismatches.append(("relax", form))
     emit(
@@ -232,7 +237,7 @@ def test_criterion_07_trapezoid_relaxation_family(capsys):
     for b in range(1, 21):
         for a in range(0, b + 1):
             result = relaxed_lattice(trapezoid(a, b))
-            lattice = not isinstance(result, NotLattice)
+            lattice = result is not None
             if lattice != (2 * a >= b - 2):
                 bad.append((a, b, "integrality"))
                 continue
@@ -330,7 +335,7 @@ def test_criterion_10_invariant_suites(census, capsys):
         if poly.dimension != 2:
             continue
         pick_checked += 1
-        if poly.double_area != 2 * poly.genus + boundary_point_count(poly) - 2:
+        if double_area(poly) != 2 * poly.genus + boundary_point_count(poly) - 2:
             violations.append(("pick", poly))
         if canonical_form(canonical_form(poly)) != canonical_form(poly):
             violations.append(("idempotence-random", poly))

@@ -11,13 +11,11 @@ from panoptigon.census import (
     candidate_point_set,
     census_summary,
     convex_closed_sets,
-    corollary_lw12_check,
     genus1_classes,
     genus1_lw2_classes,
     maximal_lw3,
     maximal_lw3_count_formula,
     maximal_lw4,
-    obstruction_witnesses,
     records_to_ndjson,
     relax_condition,
     sporadic_ld2,
@@ -30,8 +28,10 @@ from panoptigon.classify import (
     valid_forms,
 )
 from panoptigon.core import Polygon, convex_hull
-from panoptigon.relaxation import NotLattice, is_maximal, relaxed_lattice
+from panoptigon.relaxation import is_maximal, relaxed_lattice
 from panoptigon.transform import are_equivalent, canonical_form, lattice_diameter, lattice_width
+
+from conftest import corollary_lw12_check, obstruction_witnesses
 
 
 def test_candidate_frame_has_thirty_points():
@@ -152,8 +152,7 @@ def test_big_records_have_nonlattice_relaxation(census):
     for r in nonhyp:
         if r.lattice_point_count >= 12:
             assert not r.relaxation_lattice
-            result = relaxed_lattice(r.canonical)
-            assert isinstance(result, NotLattice)
+            assert relaxed_lattice(r.canonical) is None
 
 
 def test_max_width_five_once(census):
@@ -277,9 +276,7 @@ def test_relax_condition_examples():
 def test_relax_condition_matches_direct_relaxation():
     for g in range(2, 8):
         for form in valid_forms(g):
-            direct = not isinstance(
-                relaxed_lattice(hyperelliptic_polygon(form)), NotLattice
-            )
+            direct = relaxed_lattice(hyperelliptic_polygon(form)) is not None
             assert relax_condition(form) == direct, form
 
 

@@ -6,7 +6,6 @@ from panoptigon import classify
 from panoptigon.classify import (
     HyperellipticForm,
     PanoptigonReport,
-    genus0_panoptigon_predicate,
     hyperelliptic_count,
     hyperelliptic_normal_form,
     hyperelliptic_panoptigon_predicate,
@@ -21,6 +20,7 @@ from panoptigon.core import is_visible
 from panoptigon.transform import UnimodularMap, canonical_form, lattice_width
 
 from conftest import (
+    genus0_panoptigon_predicate,
     panoptigon_points_oracle,
     random_sheared_polygon,
     random_unimodular_map,

@@ -47,3 +47,19 @@ def test_no_unused_imports_in_src():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_package_all_matches_its_imports():
+    """``__all__`` lists each name ``__init__.py`` imports once, and every name resolves."""
+    import panoptigon
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(panoptigon.__all__) == len(set(panoptigon.__all__))
+    assert set(panoptigon.__all__) == imported
+    assert all(hasattr(panoptigon, name) for name in panoptigon.__all__)

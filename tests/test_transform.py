@@ -17,6 +17,7 @@ from panoptigon.transform import (
 from conftest import (
     bounded_lattice_width,
     lattice_diameter_oracle,
+    lattice_width_oracle,
     random_polygon_2d,
     random_sheared_polygon,
     random_unimodular_map,
@@ -55,6 +56,40 @@ def test_lattice_width_of_standard_shapes():
     w, dirs = lattice_width(strip)
     assert w == 1
     assert Functional(0, 1) in dirs
+    # Four minimizers; one of them, 2,1, has a coefficient 2 in any reduced basis.
+    parallelogram = convex_hull([(0, -1), (1, -1), (0, 1), (-1, 1)])
+    assert lattice_width(parallelogram) == (
+        2,
+        frozenset({Functional(1, 0), Functional(0, 1), Functional(1, 1), Functional(2, 1)}),
+    )
+
+
+def test_lattice_width_matches_box_scan_oracle():
+    rng = random.Random(909)
+    several = 0
+    for _ in range(1000):
+        poly = random_polygon_2d(rng)
+        assert lattice_width(poly) == lattice_width_oracle(poly), poly
+    for _ in range(3000):
+        poly = random_sheared_polygon(rng)
+        if poly.dimension == 2:
+            expected = lattice_width_oracle(poly)
+            assert lattice_width(poly) == expected, poly
+            several += len(expected[1]) > 1
+    assert several > 100
+
+
+@pytest.mark.parametrize(
+    "vertices,width,directions",
+    [
+        ([(0, 0), (100000, 0), (0, 100000)], 100000, {(1, 0), (0, 1), (1, 1)}),
+        ([(0, 0), (1, 3000000), (0, 1)], 1, {(1, 0), (2999999, -1), (3000000, -1)}),
+        ([(0, 0), (3, 0), (300000, 3)], 3, {(0, 1), (1, -100000), (1, -99999)}),
+    ],
+)
+def test_lattice_width_cost_does_not_grow_with_the_embedding(vertices, width, directions):
+    # The box scan would take hours on the first polygon.
+    assert lattice_width(convex_hull(vertices)) == (width, frozenset(Functional(*f) for f in directions))
 
 
 def test_lattice_width_unimodular_invariance():
