@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .classify import (
@@ -25,7 +26,7 @@ from .classify import (
     trapezoid,
     valid_forms,
 )
-from .core import Point, Polygon, convex_hull, is_visible
+from .core import Point, Polygon, convex_hull, hull_insert, is_visible
 from .relaxation import GENUS1_MAXIMAL_VERTICES, is_maximal, relaxed_lattice
 from .transform import canonical_form, has_lattice_segment, lattice_diameter, lattice_width
 
@@ -77,24 +78,81 @@ def convex_closed_sets(
       and passes ``keep`` is returned.
     - A state is the ``Polygon`` of its lattice points, keyed by its hull
       vertices (a convex-closed set is fixed by them).  It grows by one
-      universe point p at a time into ``convex_hull(vertices + (p,))``.
-      Hulls that escape the universe or fail ``keep`` are remembered by
-      their vertices, so no hull is scanned or tested twice.
+      universe point p outside it at a time.  Hulls that escape the
+      universe or fail ``keep`` are remembered by their vertices, so no
+      hull is scanned or tested twice.
+
+    The step, O(vertices) once the edge masks it reads are cached:
+
+    - The universe points are the bits of an int.  A state carries the mask
+      of its points, and the candidates p are the bits of its complement.
+    - Since p lies outside the state, it sees a contiguous chain of the
+      hull's edges.  ``hull_insert`` replaces the chain's inner vertices by
+      p, and the new vertex tuple is looked up before any ``Polygon`` is
+      built.
+    - Every hull vertex is a universe point, so every edge (u, v) is a pair
+      of universe points.  The mask of universe points on or left of its
+      line is computed once per directed pair.  The AND of a hull's edge
+      masks is the set of universe points in the hull.
+    - By Pick's theorem the hull holds (2A + B)/2 + 1 lattice points, with
+      B the sum of the edge gcds.  The universe points in the hull number
+      exactly that count iff the hull does not escape the universe.  A
+      segment is checked point by point (it holds gcd + 1 of them).
+    - An accepted state's ``lattice_point_set`` is read off its mask, so a
+      ``keep`` that reads it scans nothing.
     """
+    points = sorted(universe)
+    bit = {q: 1 << i for i, q in enumerate(points)}
+    full = (1 << len(points)) - 1
+    sides: dict[tuple[Point, Point], tuple[int, int, int]] = {}
+
+    def side(u: Point, v: Point) -> tuple[int, int, int]:
+        """(mask on or left of the line uv, u x v, lattice length of uv)."""
+        (ux, uy), (vx, vy) = u, v
+        dx, dy = vx - ux, vy - uy
+        mask = 0
+        for q in points:
+            if dx * (q[1] - uy) - dy * (q[0] - ux) >= 0:
+                mask |= bit[q]
+        sides[u, v] = data = (mask, ux * vy - uy * vx, gcd(dx, dy))
+        return data
+
+    def hull_mask(vertices: tuple[Point, ...]) -> Optional[int]:
+        """The universe points in the hull, or None when it escapes."""
+        if len(vertices) == 2:
+            segment = Polygon(vertices).lattice_point_set
+            return sum(bit[q] for q in segment) if segment <= universe else None
+        mask, area2, boundary = full, 0, 0
+        for edge in zip(vertices, vertices[1:] + vertices[:1]):
+            m, a, g = sides.get(edge) or side(*edge)
+            mask &= m
+            area2 += a
+            boundary += g
+        return mask if mask.bit_count() == (area2 + boundary) // 2 + 1 else None
+
     visited: set[Polygon] = set(seeds)
-    rejected: set[tuple[Point, ...]] = set()
-    stack = list(visited)
+    known = {poly.vertices for poly in visited}
+    stack = [
+        (poly.vertices, sum(bit[q] for q in poly.lattice_point_set)) for poly in visited
+    ]
     while stack:
-        poly = stack.pop()
-        for p in universe - poly.lattice_point_set:
-            nxt = convex_hull(poly.vertices + (p,))
-            if nxt in visited or nxt.vertices in rejected:
+        vertices, mask = stack.pop()
+        rest = full & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt = hull_insert(vertices, points[low.bit_length() - 1])
+            if nxt in known:
                 continue
-            if not nxt.lattice_point_set <= universe or (keep is not None and not keep(nxt)):
-                rejected.add(nxt.vertices)
+            known.add(nxt)
+            m = hull_mask(nxt)
+            if m is None:
                 continue
-            visited.add(nxt)
-            stack.append(nxt)
+            poly = Polygon(nxt, frozenset(q for q in points if bit[q] & m))
+            if keep is not None and not keep(poly):
+                continue
+            visited.add(poly)
+            stack.append((nxt, m))
     return visited
 
 

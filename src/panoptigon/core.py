@@ -40,14 +40,17 @@ class Polygon:
     Degenerate cases are first-class: a single point has dimension 0 and a
     collinear segment dimension 1.  Instances are immutable; derived data is
     computed lazily and cached.  Build via :func:`convex_hull` rather than
-    calling the constructor with arbitrary points.
+    calling the constructor with arbitrary points.  A caller that already
+    knows the lattice points passes them as ``lattice_points``.
     """
 
     __slots__ = ("vertices", "_lattice", "_interior")
 
-    def __init__(self, vertices: tuple[Point, ...]):
+    def __init__(
+        self, vertices: tuple[Point, ...], lattice_points: Optional[frozenset[Point]] = None
+    ):
         self.vertices = vertices
-        self._lattice: Optional[frozenset[Point]] = None
+        self._lattice = lattice_points
         self._interior: Optional[tuple[int, Optional[Polygon]]] = None
 
     def __eq__(self, other) -> bool:
@@ -213,6 +216,38 @@ def hull_vertices(points: Iterable) -> tuple:
     # rotate so the lowest-then-leftmost vertex comes first
     start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
     return tuple(verts[start:] + verts[:start])
+
+
+def hull_insert(vertices: tuple[Point, ...], p: Point) -> tuple[Point, ...]:
+    """``hull_vertices(vertices + (p,))`` for hull vertices and a point p outside their hull.
+
+    A point or segment is hulled with p directly.  For a polygon this takes
+    O(len(vertices)): p sees a contiguous chain of edges (cross product
+    <= 0, so a vertex left collinear between p and the next one is
+    dropped), and the chain's inner vertices are replaced by p.  The
+    lowest-then-leftmost vertex of the result is p when p sorts below the
+    old first vertex or the chain removes it, and the old first vertex
+    otherwise.
+    """
+    n = len(vertices)
+    if n <= 2:
+        return hull_vertices(vertices + (p,))
+    px, py = p
+    seen = [
+        (wx - vx) * (py - vy) - (wy - vy) * (px - vx) <= 0
+        for (vx, vy), (wx, wy) in zip(vertices, vertices[1:] + vertices[:1])
+    ]
+    if seen[0] and seen[-1]:
+        # the chain runs through the first vertex, which it removes
+        first = seen.index(False)
+        last = n - 1 - seen[::-1].index(False)
+        return (p,) + vertices[first : last + 2]
+    first = seen.index(True)
+    last = n - 1 - seen[::-1].index(True)
+    before, after = vertices[: first + 1], vertices[last + 1 :]
+    if (py, px) < (vertices[0][1], vertices[0][0]):
+        return (p,) + after + before
+    return before + (p,) + after
 
 
 def convex_hull(points: Iterable[Point]) -> Polygon:

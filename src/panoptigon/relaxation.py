@@ -45,29 +45,28 @@ class RationalPolygon:
         return [v for v in self.vertices if v[0].denominator != 1 or v[1].denominator != 1]
 
 
-def _intersect(h1: tuple[int, int, int], h2: tuple[int, int, int]) -> Optional[RationalPoint]:
-    (a1, b1, c1), (a2, b2, c2) = h1, h2
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    return (Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det))
-
-
 def relax(poly: Polygon) -> RationalPolygon:
     """Intersection of all edge half-planes pushed out by one unit.
 
     Vertices are exact rationals, hulled from the pairwise intersections
     of the pushed-out lines that satisfy every half-plane.  An edge whose
     pushed-out line meets the result in at most a point has collapsed.
+    Each intersection (X/det, Y/det) is tested in integers, with det > 0:
+    it satisfies a*x + b*y <= c iff a*X + b*Y <= c*det.
     """
     if poly.dimension != 2:
         raise ValueError("relaxation requires dimension 2")
     planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
-    pts: list[RationalPoint] = []
-    for h1, h2 in combinations(planes, 2):
-        p = _intersect(h1, h2)
-        if p is not None and all(a * p[0] + b * p[1] <= c for a, b, c in planes):
-            pts.append(p)
+    pts: set[RationalPoint] = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(planes, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+        if det < 0:
+            det, x, y = -det, -x, -y
+        if all(a * x + b * y <= c * det for a, b, c in planes):
+            pts.add((Fraction(x, det), Fraction(y, det)))
     return RationalPolygon(hull_vertices(pts))
 
 

@@ -21,7 +21,7 @@ from panoptigon.classify import (
     trapezoid,
     valid_forms,
 )
-from panoptigon.core import Point, Polygon, convex_hull, is_visible
+from panoptigon.core import Point, Polygon, convex_hull, is_visible, orientation
 from panoptigon.relaxation import relaxed_lattice
 from panoptigon.transform import Functional, UnimodularMap, canonical_form, width_wrt
 
@@ -41,6 +41,19 @@ def double_area(poly: Polygon) -> int:
     """Twice the Euclidean area by the shoelace formula (0 if degenerate)."""
     vs = poly.vertices
     return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]))
+
+
+def bbox_lattice_points(poly: Polygon, strict: bool = False) -> frozenset:
+    """Brute force over the bounding box: points on or left of every CCW
+    edge, or with ``strict`` only those strictly left of every edge."""
+    xmin, ymin, xmax, ymax = poly.bounding_box()
+    least = 1 if strict else 0
+    return frozenset(
+        (x, y)
+        for x in range(xmin, xmax + 1)
+        for y in range(ymin, ymax + 1)
+        if all(orientation(v, w, (x, y)) >= least for v, w in poly.edges())
+    )
 
 
 def boundary_point_count(poly: Polygon) -> int:

@@ -31,7 +31,7 @@ from panoptigon.core import Polygon, convex_hull
 from panoptigon.relaxation import is_maximal, relaxed_lattice
 from panoptigon.transform import are_equivalent, canonical_form, lattice_diameter, lattice_width
 
-from conftest import corollary_lw12_check, obstruction_witnesses
+from conftest import bbox_lattice_points, corollary_lw12_check, obstruction_witnesses
 
 
 def test_candidate_frame_has_thirty_points():
@@ -93,6 +93,29 @@ def test_closed_sets_match_frozenset_oracle_on_frame():
     )
     assert len(walk) == 345
     assert {poly.lattice_point_set for poly in walk} == _closed_sets_oracle(frame, [FIXED_POINTS])
+
+
+def test_escape_count_matches_bbox_oracle_on_frame():
+    # The walk decides escape by Pick's count over universe bitmasks and fills
+    # each state's points from its mask; the bounding-box scan checks both.
+    frame = candidate_point_set()
+    seed = convex_hull(FIXED_POINTS)
+    states = []
+    walk = convex_closed_sets(frame, [seed], keep=lambda poly: states.append(poly) or True)
+    assert set(states) == walk - {seed} and len(states) == len(walk) - 1
+    for poly in states:
+        assert poly.lattice_point_set == bbox_lattice_points(poly), poly
+        assert poly.lattice_point_set <= frame, poly
+    # With every state kept, each other hull a state grows into was rejected
+    # as escaping the frame.
+    escaped = {
+        convex_hull(poly.vertices + (p,))
+        for poly in walk
+        for p in frame - poly.lattice_point_set
+    } - walk
+    assert len(escaped) > 1000
+    for hull in escaped:
+        assert not bbox_lattice_points(hull) <= frame, hull
 
 
 @pytest.mark.parametrize("a,b", [(2, 2), (0, 2)])

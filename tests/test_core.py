@@ -1,22 +1,16 @@
 import random
+from collections import Counter
 
 from panoptigon import core
-from panoptigon.core import Polygon, convex_hull, is_visible, orientation
+from panoptigon.core import Polygon, convex_hull, is_visible
 
-from conftest import boundary_point_count, double_area, random_polygon, visible_from
-
-
-def bbox_lattice_points(poly: Polygon, strict: bool = False) -> frozenset:
-    """Brute force over the bounding box: points on or left of every CCW
-    edge, or with ``strict`` only those strictly left of every edge."""
-    xmin, ymin, xmax, ymax = poly.bounding_box()
-    least = 1 if strict else 0
-    return frozenset(
-        (x, y)
-        for x in range(xmin, xmax + 1)
-        for y in range(ymin, ymax + 1)
-        if all(orientation(v, w, (x, y)) >= least for v, w in poly.edges())
-    )
+from conftest import (
+    bbox_lattice_points,
+    boundary_point_count,
+    double_area,
+    random_polygon,
+    visible_from,
+)
 
 
 def test_visibility_is_gcd_one():
@@ -68,6 +62,32 @@ def test_lattice_points_of_standard_triangle():
     assert len(poly.lattice_point_set) == 10
     assert poly.interior_polygon().vertices == ((1, 1),)
     assert poly.genus == 1
+
+
+def test_hull_insert_matches_full_hull():
+    rng = random.Random(20261018)
+    checked, cases = 0, Counter()
+    while checked < 20_000:
+        poly = random_polygon(rng, span=5, points=rng.choice((1, 2, 3, 6)))
+        vs = poly.vertices
+        on_line = len(vs) >= 2 and rng.random() < 0.3
+        if on_line:
+            # beyond a vertex on the line of an edge (or of the segment)
+            i = rng.randrange(len(vs))
+            (vx, vy), (wx, wy) = vs[i], vs[(i + 1) % len(vs)]
+            t = rng.randint(1, 3)
+            p = (wx + t * (wx - vx), wy + t * (wy - vy))
+        else:
+            p = (rng.randint(-7, 7), rng.randint(-7, 7))
+        if poly.contains(p):
+            continue
+        expected = core.hull_vertices(vs + (p,))
+        assert core.hull_insert(vs, p) == expected, (poly, p)
+        checked += 1
+        cases["dimension %d" % poly.dimension] += 1
+        cases["on an edge's line"] += on_line
+        cases["first vertex removed"] += poly.dimension == 2 and vs[0] not in expected
+    assert len(cases) == 5 and min(cases.values()) > 100, cases
 
 
 def test_row_scan_matches_bbox_oracle_on_random_polygons():
