@@ -237,13 +237,12 @@ def records_to_ndjson(records: Iterable[CensusRecord]) -> str:
     return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in sort_records(records))
 
 
-def nonhyperelliptic_census(raw: Optional[set[Polygon]] = None) -> list[CensusRecord]:
+def nonhyperelliptic_census(raw: set[Polygon]) -> list[CensusRecord]:
     """The 67 classes of non-hyperelliptic panoptigons with diameter >= 3.
 
-    The quoted count of 69 splits two pairs of equivalent polygons.
+    ``raw`` is the output of ``enumerate_raw``.  The quoted count of 69
+    splits two pairs of equivalent polygons.
     """
-    if raw is None:
-        raw = enumerate_raw()
     classes: dict[Polygon, Polygon] = {}
     for poly in raw:
         if not is_hyperelliptic(poly):
@@ -308,13 +307,13 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
     return sort_records(records)
 
 
-def full_panoptigon_census(exhaustive_sporadic: bool = False, raw: Optional[set[Polygon]] = None):
+def full_panoptigon_census(raw: set[Polygon]):
     """(70 non-hyperelliptic records, 71 width->=3 records incl. T_3).
 
-    ``raw`` is the output of ``enumerate_raw``, enumerated here if omitted.
-    The quoted 72/73 split two pairs of equivalent polygons.
+    ``raw`` is the output of ``enumerate_raw``.  The quoted 72/73 split two
+    pairs of equivalent polygons.
     """
-    records = nonhyperelliptic_census(raw=raw) + sporadic_ld2(exhaustive=exhaustive_sporadic)
+    records = nonhyperelliptic_census(raw) + sporadic_ld2(exhaustive=False)
     nonhyp = sort_records(records)
     lw3plus = sort_records(nonhyp + [CensusRecord.from_polygon(standard_triangle(3))])
     return nonhyp, lw3plus

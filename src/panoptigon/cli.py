@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -39,7 +38,7 @@ from .formats import (
 )
 from .relaxation import RationalPolygon, is_maximal, relax
 from .render import RenderError, render_svg
-from .transform import canonical_form, lattice_diameter, lattice_width
+from .transform import Functional, canonical_form, lattice_diameter, lattice_width
 
 EXIT_OK = 0
 EXIT_COUNT_MISMATCH = 1
@@ -55,117 +54,70 @@ EXPECTED_COUNTS = {
 }
 
 
-@dataclass
-class AnalysisReport:
-    """Everything the library can say about one input polygon."""
+def analyze_polygon(poly: Polygon) -> list[tuple[str, Optional[str], object]]:
+    """Everything the library can say about one polygon, in table order.
 
-    polygon: Polygon
-    genus: Optional[int] = None
-    lattice_width: Optional[int] = None
-    width_directions: tuple = ()
-    lattice_diameter: Optional[int] = None
-    diameter_directions: tuple = ()
-    hyperelliptic: Optional[bool] = None
-    hyperelliptic_form: Optional[HyperellipticForm] = None
-    panoptigon: Optional[bool] = None
-    panoptigon_points: tuple = ()
-    interior_polygon: Optional[Polygon] = None
-    relaxed: Optional[RationalPolygon] = None
-    relaxation_lattice: Optional[bool] = None
-    maximal: Optional[bool] = None
-    canonical: Optional[Polygon] = None
-    big_face_passes: Optional[bool] = None
-    big_face_reason: Optional[str] = None
-
-    def to_json(self) -> dict:
-        return {
-            "polygon": polygon_to_json(self.polygon),
-            "genus": self.genus,
-            "lattice_width": self.lattice_width,
-            "width_directions": [str(f) for f in self.width_directions],
-            "lattice_diameter": self.lattice_diameter,
-            "diameter_directions": [str(f) for f in self.diameter_directions],
-            "hyperelliptic": self.hyperelliptic,
-            "hyperelliptic_form": None
-            if self.hyperelliptic_form is None
-            else hyperelliptic_form_to_json(self.hyperelliptic_form),
-            "panoptigon": self.panoptigon,
-            "panoptigon_points": [list(p) for p in self.panoptigon_points],
-            "interior_polygon": None
-            if self.interior_polygon is None
-            else polygon_to_json(self.interior_polygon),
-            "relaxed": None
-            if self.relaxed is None
-            else rational_polygon_to_json(self.relaxed),
-            "relaxation_lattice": self.relaxation_lattice,
-            "maximal": self.maximal,
-            "canonical": None
-            if self.canonical is None
-            else polygon_to_json(self.canonical),
-            "big_face_passes": self.big_face_passes,
-            "big_face_reason": self.big_face_reason,
-        }
-
-
-def analyze_polygon(poly: Polygon) -> AnalysisReport:
-    if poly.dimension < 2:
-        return AnalysisReport(polygon=poly)
-
-    lw, lw_dirs = lattice_width(poly)
-    ld, ld_dirs = lattice_diameter(poly)
-    hyp = is_hyperelliptic(poly)
+    Each field is (JSON key, table label, value); the label is None for a
+    JSON-only field.  Below dimension 2 every value but the polygon is None,
+    or () for a tuple.
+    """
+    plane = poly.dimension == 2
+    lw, lw_dirs = lattice_width(poly) if plane else (None, ())
+    ld, ld_dirs = lattice_diameter(poly) if plane else (None, ())
+    hyp = is_hyperelliptic(poly) if plane else None
     form = hyperelliptic_normal_form(poly) if hyp and poly.genus >= 2 and lw == 2 else None
-    report = is_panoptigon(poly)
-    relaxed = relax(poly)
-    maximal = is_maximal(poly) if poly.genus >= 1 else None
-    verdict = big_face_obstruction(poly) if poly.genus >= 2 else None
-    return AnalysisReport(
-        polygon=poly,
-        genus=poly.genus,
-        lattice_width=lw,
-        width_directions=tuple(sorted(lw_dirs)),
-        lattice_diameter=ld,
-        diameter_directions=tuple(sorted(ld_dirs)),
-        hyperelliptic=hyp,
-        hyperelliptic_form=form,
-        panoptigon=report.is_panoptigon,
-        panoptigon_points=tuple(sorted(report.panoptigon_points)),
-        interior_polygon=poly.interior_polygon(),
-        relaxed=relaxed,
-        relaxation_lattice=relaxed.is_lattice,
-        maximal=maximal,
-        canonical=canonical_form(poly),
-        big_face_passes=None if verdict is None else verdict.passes,
-        big_face_reason=None if verdict is None else verdict.reason,
-    )
-
-
-def _report_table(report: AnalysisReport) -> str:
-    def poly_str(p):
-        return "-" if p is None else polygon_to_text(p)
-
-    rows = [
-        ("polygon", polygon_to_text(report.polygon)),
-        ("genus", report.genus),
-        ("lattice width", report.lattice_width),
-        ("width directions", " ".join(str(f) for f in report.width_directions) or "-"),
-        ("lattice diameter", report.lattice_diameter),
-        ("diameter directions", " ".join(str(f) for f in report.diameter_directions) or "-"),
-        ("hyperelliptic", report.hyperelliptic),
-        ("hyperelliptic form", report.hyperelliptic_form or "-"),
-        ("panoptigon", report.panoptigon),
-        ("panoptigon points", " ".join("%d,%d" % p for p in report.panoptigon_points) or "-"),
-        ("interior polygon", poly_str(report.interior_polygon)),
-        ("relaxation lattice", report.relaxation_lattice),
-        ("maximal", report.maximal),
-        ("canonical form", poly_str(report.canonical)),
-        ("big-face verdict", report.big_face_reason or "-"),
+    report = is_panoptigon(poly) if plane else None
+    relaxed = relax(poly) if plane else None
+    verdict = big_face_obstruction(poly) if plane and poly.genus >= 2 else None
+    return [
+        ("polygon", "polygon", poly),
+        ("genus", "genus", poly.genus if plane else None),
+        ("lattice_width", "lattice width", lw),
+        ("width_directions", "width directions", tuple(sorted(lw_dirs))),
+        ("lattice_diameter", "lattice diameter", ld),
+        ("diameter_directions", "diameter directions", tuple(sorted(ld_dirs))),
+        ("hyperelliptic", "hyperelliptic", hyp),
+        ("hyperelliptic_form", "hyperelliptic form", form),
+        ("panoptigon", "panoptigon", None if report is None else report.is_panoptigon),
+        (
+            "panoptigon_points",
+            "panoptigon points",
+            () if report is None else tuple(sorted(report.panoptigon_points)),
+        ),
+        ("interior_polygon", "interior polygon", poly.interior_polygon() if plane else None),
+        ("relaxed", None, relaxed),
+        (
+            "relaxation_lattice",
+            "relaxation lattice",
+            None if relaxed is None else relaxed.is_lattice,
+        ),
+        ("maximal", "maximal", is_maximal(poly) if plane and poly.genus >= 1 else None),
+        ("canonical", "canonical form", canonical_form(poly) if plane else None),
+        ("big_face_passes", None, None if verdict is None else verdict.passes),
+        ("big_face_reason", "big-face verdict", None if verdict is None else verdict.reason),
     ]
-    width = max(len(name) for name, _ in rows)
-    return "\n".join(
-        "%-*s  %s" % (width, name, "-" if value is None else value)
-        for name, value in rows
-    )
+
+
+def _json_value(value):
+    if isinstance(value, Polygon):
+        return polygon_to_json(value)
+    if isinstance(value, RationalPolygon):
+        return rational_polygon_to_json(value)
+    if isinstance(value, HyperellipticForm):
+        return hyperelliptic_form_to_json(value)
+    if isinstance(value, tuple):  # of Functionals or of points
+        return [str(f) if isinstance(f, Functional) else list(f) for f in value]
+    return value
+
+
+def _text_value(value) -> str:
+    if value is None or value == ():
+        return "-"
+    if isinstance(value, Polygon):
+        return polygon_to_text(value)
+    if isinstance(value, tuple):
+        return " ".join("%d,%d" % item for item in value)
+    return str(value)
 
 
 def _error(message, code: int) -> int:
@@ -194,11 +146,14 @@ def cmd_analyze(args) -> int:
     poly = _read_polygon(args.polygon)
     if isinstance(poly, int):
         return poly
-    report = analyze_polygon(poly)
+    fields = analyze_polygon(poly)
     if args.table:
-        print(_report_table(report))
+        rows = [(label, _text_value(value)) for _, label, value in fields if label]
+        width = max(len(label) for label, _ in rows)
+        print("\n".join("%-*s  %s" % (width, label, text) for label, text in rows))
     else:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        report = {key: _json_value(value) for key, _, value in fields}
+        print(json.dumps(report, indent=2, sort_keys=True))
     if args.svg:
         return _write_svg(poly, args.svg, relaxed=False)
     return EXIT_OK

@@ -32,9 +32,6 @@ class Functional(NamedTuple):
             alpha, beta = -alpha, -beta
         return cls(alpha, beta)
 
-    def __call__(self, p: Point) -> int:
-        return self.alpha * p[0] + self.beta * p[1]
-
     def __str__(self) -> str:
         return "%d,%d" % (self.alpha, self.beta)
 

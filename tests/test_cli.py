@@ -14,8 +14,11 @@ from panoptigon.cli import (
     analyze_polygon,
     main,
 )
+from panoptigon.classify import HyperellipticForm, is_panoptigon
 from panoptigon.core import convex_hull
 from panoptigon.formats import parse_polygon_text, polygon_to_text
+from panoptigon.relaxation import relax
+from panoptigon.transform import canonical_form, lattice_diameter, lattice_width
 
 
 def run(args, capsys):
@@ -70,11 +73,124 @@ def test_analyze_degenerate_gives_nulls(capsys):
     assert report["canonical"] is None
 
 
+TRIANGLE_TABLE = """\
+polygon              0,0 3,0 0,3
+genus                1
+lattice width        3
+width directions     0,1 1,0 1,1
+lattice diameter     3
+diameter directions  0,1 1,-1 1,0
+hyperelliptic        True
+hyperelliptic form   -
+panoptigon           True
+panoptigon points    1,1
+interior polygon     1,1
+relaxation lattice   True
+maximal              True
+canonical form       0,0 3,0 0,3
+big-face verdict     -
+"""
+
+SEGMENT_TABLE = """\
+polygon              0,0 1,0
+genus                -
+lattice width        -
+width directions     -
+lattice diameter     -
+diameter directions  -
+hyperelliptic        -
+hyperelliptic form   -
+panoptigon           -
+panoptigon points    -
+interior polygon     -
+relaxation lattice   -
+maximal              -
+canonical form       -
+big-face verdict     -
+"""
+
+
 def test_analyze_table_output(capsys):
-    code, out, _ = run(["analyze", "0,0 3,0 0,3", "--table"], capsys)
-    assert code == EXIT_OK
-    assert "lattice width" in out
-    assert "panoptigon" in out
+    """Every row in order, with ``-`` where a value is absent."""
+    for text, table in (("0,0 3,0 0,3", TRIANGLE_TABLE), ("0,0 1,0", SEGMENT_TABLE)):
+        code, out, _ = run(["analyze", text, "--table"], capsys)
+        assert code == EXIT_OK
+        assert out == table, text
+
+
+# Table label of each JSON key; ``relaxed`` and ``big_face_passes`` are JSON-only.
+TABLE_LABELS = {
+    "polygon": "polygon",
+    "genus": "genus",
+    "lattice_width": "lattice width",
+    "width_directions": "width directions",
+    "lattice_diameter": "lattice diameter",
+    "diameter_directions": "diameter directions",
+    "hyperelliptic": "hyperelliptic",
+    "hyperelliptic_form": "hyperelliptic form",
+    "panoptigon": "panoptigon",
+    "panoptigon_points": "panoptigon points",
+    "interior_polygon": "interior polygon",
+    "relaxation_lattice": "relaxation lattice",
+    "maximal": "maximal",
+    "canonical": "canonical form",
+    "big_face_reason": "big-face verdict",
+}
+
+
+def table_text(key, value) -> str:
+    """The table's text for one JSON value."""
+    if value is None or value == []:
+        return "-"
+    if key == "hyperelliptic_form":
+        return str(HyperellipticForm(**value))
+    if isinstance(value, dict):
+        value = value["vertices"]
+    if isinstance(value, list):
+        return " ".join(item if isinstance(item, str) else "%d,%d" % tuple(item) for item in value)
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "text,known",
+    [
+        (
+            "0,0 10,0 10,2 0,2",
+            {
+                "genus": 9,
+                "hyperelliptic_form": {"kind": "Type3", "g": 9, "i": 10, "j": 10, "k": 0},
+                "big_face_passes": False,
+                "big_face_reason": "more than 3 collinear interior points",
+            },
+        ),
+        (
+            "0,1 0,3 4,0",
+            {
+                "genus": 3,
+                "hyperelliptic": False,
+                "panoptigon_points": [[1, 1], [1, 2]],
+                "big_face_passes": True,
+                "big_face_reason": None,
+            },
+        ),
+    ],
+)
+def test_analyze_table_rows_match_json_keys(capsys, text, known):
+    """Each JSON key but the two JSON-only ones has one table row showing its value.
+
+    The inputs are a width-2 Type3 form of genus 9 and a sporadic class of genus 3.
+    """
+    _, out, _ = run(["analyze", text], capsys)
+    report = json.loads(out)
+    assert {key: report[key] for key in known} == known
+    _, table, _ = run(["analyze", text, "--table"], capsys)
+    assert set(report) == set(TABLE_LABELS) | {"relaxed", "big_face_passes"}
+    width = max(map(len, TABLE_LABELS.values()))
+    expected = [
+        "%-*s  %s" % (width, label, table_text(key, report[key]))
+        for key, label in TABLE_LABELS.items()
+    ]
+    assert sorted(table.splitlines()) == sorted(expected)
 
 
 def test_analyze_parse_error(capsys):
@@ -218,10 +334,20 @@ def test_render_degenerate_exits_io(tmp_path, capsys):
 
 def test_analyze_polygon_fields_recomputable():
     poly = convex_hull([(0, 0), (3, 0), (0, 3)])
-    report = analyze_polygon(poly)
-    assert report.genus == poly.genus
-    assert report.canonical is not None
-    assert polygon_to_text(report.polygon) == "0,0 3,0 0,3"
+    fields = analyze_polygon(poly)
+    report = {key: value for key, _, value in fields}
+    assert len(report) == len(fields) == 17
+    assert [key for key, label, _ in fields if label is None] == ["relaxed", "big_face_passes"]
+    assert polygon_to_text(report["polygon"]) == "0,0 3,0 0,3"
+    assert report["genus"] == poly.genus
+    lw, lw_dirs = lattice_width(poly)
+    assert (report["lattice_width"], set(report["width_directions"])) == (lw, set(lw_dirs))
+    ld, ld_dirs = lattice_diameter(poly)
+    assert (report["lattice_diameter"], set(report["diameter_directions"])) == (ld, set(ld_dirs))
+    assert report["panoptigon_points"] == tuple(sorted(is_panoptigon(poly).panoptigon_points))
+    assert report["interior_polygon"] == poly.interior_polygon()
+    assert report["relaxed"] == relax(poly)
+    assert report["canonical"] == canonical_form(poly)
 
 
 def test_analyze_maximal_far_from_origin(capsys):

@@ -1,9 +1,11 @@
 """Static checks on the package source, using only the standard library."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "panoptigon"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "panoptigon"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -63,3 +65,62 @@ def test_package_all_matches_its_imports():
     assert len(panoptigon.__all__) == len(set(panoptigon.__all__))
     assert set(panoptigon.__all__) == imported
     assert all(hasattr(panoptigon, name) for name in panoptigon.__all__)
+
+
+def _reads(tree: ast.AST) -> Counter:
+    """How often each name is read as an identifier or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_definitions(defining: dict[str, str], others: list[str]) -> list[str]:
+    """Functions, methods and classes of the ``defining`` sources that nothing reads.
+
+    ``defining`` maps file names to source text; ``others`` are more sources
+    that may read them.  A definition counts as read when its name is read
+    anywhere outside its own body.  Names are matched without scope, and
+    dunders are skipped.
+    """
+    trees = {name: ast.parse(text) for name, text in defining.items()}
+    reads = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        reads += _reads(tree)
+    found = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if reads[node.name] == _reads(node)[node.name]:
+                found.append("%s (%s line %d)" % (node.name, file, node.lineno))
+    return sorted(found)
+
+
+def test_unreferenced_definitions_detected():
+    lib = (
+        "def used():\n    pass\n\n"
+        "def recurse(n):\n    return recurse(n - 1)\n\n"
+        "class Box:\n"
+        "    def size(self):\n        return 1\n\n"
+        "    def __len__(self):\n        return 0\n"
+    )
+    caller = "from lib import used, recurse\nused()\nBox()\n"
+    assert unreferenced_definitions({"lib.py": lib}, [caller]) == [
+        "recurse (lib.py line 4)",
+        "size (lib.py line 8)",
+    ]
+
+
+def test_every_src_definition_is_read():
+    """Each function, method and class in the package is used by the package, tests or perfbench."""
+    defining = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [
+        path.read_text()
+        for folder in ("tests", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert unreferenced_definitions(defining, others) == []
