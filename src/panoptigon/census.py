@@ -78,14 +78,22 @@ def convex_closed_sets(
       and passes ``keep`` is returned.
     - A state is the ``Polygon`` of its lattice points, keyed by its hull
       vertices (a convex-closed set is fixed by them).  It grows by one
-      universe point p outside it at a time.  Hulls that escape the
-      universe or fail ``keep`` are remembered by their vertices, so no
-      hull is scanned or tested twice.
+      universe point p outside it at a time.  Every hull tried is
+      remembered by its vertices as accepted or rejected (it escapes the
+      universe or fails ``keep``), so no hull is scanned or tested twice.
+    - Dead points: while a state S is scanned, p joins S's dead mask when
+      the hull of S and p is rejected, found now or remembered.  S's
+      children are pushed after the whole scan with S's final mask, and
+      they never try its points.  This is sound: a child S' contains S, so
+      the hull of S' and p contains the hull of S and p; it escapes the
+      universe too, and since ``keep`` is hereditary it fails ``keep`` too.
+      An accepted hull is not dead: a superset of it may still be kept.
 
     The step, O(vertices) once the edge masks it reads are cached:
 
     - The universe points are the bits of an int.  A state carries the mask
-      of its points, and the candidates p are the bits of its complement.
+      of its points and its dead mask, and the candidates p are the bits of
+      neither.
     - Since p lies outside the state, it sees a contiguous chain of the
       hull's edges.  ``hull_insert`` replaces the chain's inner vertices by
       p, and the new vertex tuple is looked up before any ``Polygon`` is
@@ -131,28 +139,32 @@ def convex_closed_sets(
         return mask if mask.bit_count() == (area2 + boundary) // 2 + 1 else None
 
     visited: set[Polygon] = set(seeds)
-    known = {poly.vertices for poly in visited}
+    known = {poly.vertices: True for poly in visited}
     stack = [
-        (poly.vertices, sum(bit[q] for q in poly.lattice_point_set)) for poly in visited
+        (poly.vertices, sum(bit[q] for q in poly.lattice_point_set), 0) for poly in visited
     ]
     while stack:
-        vertices, mask = stack.pop()
-        rest = full & ~mask
+        vertices, mask, dead = stack.pop()
+        children = []
+        rest = full & ~(mask | dead)
         while rest:
             low = rest & -rest
             rest ^= low
             nxt = hull_insert(vertices, points[low.bit_length() - 1])
-            if nxt in known:
-                continue
-            known.add(nxt)
-            m = hull_mask(nxt)
-            if m is None:
-                continue
-            poly = Polygon(nxt, frozenset(q for q in points if bit[q] & m))
-            if keep is not None and not keep(poly):
-                continue
-            visited.add(poly)
-            stack.append((nxt, m))
+            ok = known.get(nxt)
+            if ok is None:
+                m = hull_mask(nxt)
+                ok = m is not None
+                if ok:
+                    poly = Polygon(nxt, frozenset(q for q in points if bit[q] & m))
+                    ok = keep is None or keep(poly)
+                if ok:
+                    visited.add(poly)
+                    children.append((nxt, m))
+                known[nxt] = ok
+            if not ok:
+                dead |= low
+        stack.extend((nxt, m, dead) for nxt, m in children)
     return visited
 
 
@@ -194,8 +206,8 @@ class CensusRecord:
     max_polygon: Optional[Polygon]
 
     @classmethod
-    def from_polygon(cls, poly: Polygon) -> "CensusRecord":
-        canon = canonical_form(poly)
+    def from_polygon(cls, canon: Polygon) -> "CensusRecord":
+        """The record of a canonical form; callers canonicalize with ``canonical_form``."""
         relaxed = relaxed_lattice(canon)
         return cls(
             canonical=canon,
@@ -278,10 +290,9 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
     T(a, b) alone.  Diameter <= 2 holds on every subset of a set where it
     holds, so it prunes the walk without losing any such P.
     """
-    known = [convex_hull(v) for v in SPORADIC_LD2_VERTICES]
     records = []
-    for poly in known:
-        rec = CensusRecord.from_polygon(poly)
+    for vertices in SPORADIC_LD2_VERTICES:
+        rec = CensusRecord.from_polygon(canonical_form(convex_hull(vertices)))
         assert not rec.hyperelliptic and rec.panoptigon_points
         assert rec.lattice_diameter == 2 and rec.lattice_width == 3
         records.append(rec)
@@ -315,7 +326,8 @@ def full_panoptigon_census(raw: set[Polygon]):
     """
     records = nonhyperelliptic_census(raw) + sporadic_ld2(exhaustive=False)
     nonhyp = sort_records(records)
-    lw3plus = sort_records(nonhyp + [CensusRecord.from_polygon(standard_triangle(3))])
+    triangle = CensusRecord.from_polygon(canonical_form(standard_triangle(3)))
+    lw3plus = sort_records(nonhyp + [triangle])
     return nonhyp, lw3plus
 
 

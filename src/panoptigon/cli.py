@@ -115,6 +115,9 @@ def _text_value(value) -> str:
         return "-"
     if isinstance(value, Polygon):
         return polygon_to_text(value)
+    if isinstance(value, HyperellipticForm):
+        data = hyperelliptic_form_to_json(value)
+        return " ".join([data.pop("kind")] + ["%s=%d" % item for item in data.items()])
     if isinstance(value, tuple):
         return " ".join("%d,%d" % item for item in value)
     return str(value)
@@ -176,7 +179,7 @@ def cmd_census(args) -> int:
 
     if maximal:
         polys = maximal_lw3(args.genus) if kind == "maximal-lw3" else maximal_lw4(args.genus)
-        records = sort_records(CensusRecord.from_polygon(p) for p in polys)
+        records = sort_records(CensusRecord.from_polygon(canonical_form(p)) for p in polys)
         summary = {"kind": kind, "genus": args.genus, "count": len(records)}
         if kind == "maximal-lw3" and args.genus >= 4:
             formula = maximal_lw3_count_formula(args.genus)
@@ -190,7 +193,7 @@ def cmd_census(args) -> int:
             print("%s genus %d: %d polygons" % (kind, args.genus, len(records)))
     elif kind == "raw":
         raw = enumerate_raw()
-        records = sort_records(CensusRecord.from_polygon(p) for p in raw)
+        records = sort_records(CensusRecord.from_polygon(canonical_form(p)) for p in raw)
         summary = {"kind": kind, "raw": len(raw)}
         print("raw census: %d polygons" % len(raw))
     else:  # nonhyperelliptic | full

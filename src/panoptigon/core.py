@@ -51,7 +51,7 @@ class Polygon:
     ):
         self.vertices = vertices
         self._lattice = lattice_points
-        self._interior: Optional[tuple[int, Optional[Polygon]]] = None
+        self._interior: Optional[Polygon] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -149,29 +149,33 @@ class Polygon:
             if ok and lo is not None and hi is not None and lo <= hi:
                 yield y, lo, hi
 
-    def _interior_pass(self) -> tuple[int, Optional["Polygon"]]:
-        """(genus, interior polygon) from one scan of the interior rows.
-
-        The interior polygon is the hull of the two ends of each row, which
-        holds every interior point between them.
-        """
-        if self._interior is None:
-            genus, ends = 0, []
-            if self.dimension == 2:
-                for y, lo, hi in self._rows(-1):
-                    genus += hi - lo + 1
-                    ends += ((lo, y), (hi, y))
-            self._interior = (genus, convex_hull(ends) if ends else None)
-        return self._interior
-
     @property
     def genus(self) -> int:
-        """Number of strictly interior lattice points (0 when degenerate)."""
-        return self._interior_pass()[0]
+        """Number of strictly interior lattice points (0 when degenerate).
+
+        Pick's theorem, 2A = 2g + B - 2, with the shoelace sum for 2A and
+        the sum of the edge gcds for B: O(vertices), no scan.
+        """
+        if self.dimension < 2:
+            return 0
+        area2 = boundary = 0
+        for (x0, y0), (x1, y1) in self.edges():
+            area2 += x0 * y1 - x1 * y0
+            boundary += gcd(x1 - x0, y1 - y0)
+        return (area2 - boundary) // 2 + 1
 
     def interior_polygon(self) -> Optional["Polygon"]:
-        """Convex hull of the interior lattice points; None when genus 0."""
-        return self._interior_pass()[1]
+        """Convex hull of the interior lattice points; None when genus 0.
+
+        One scan of the interior rows: the hull of the two ends of each row
+        holds every interior point between them.
+        """
+        if self._interior is None and self.genus:
+            ends = []
+            for y, lo, hi in self._rows(-1):
+                ends += ((lo, y), (hi, y))
+            self._interior = convex_hull(ends)
+        return self._interior
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [x for x, _ in self.vertices]
@@ -212,10 +216,13 @@ def hull_vertices(points: Iterable) -> tuple:
 
     lower = chain(pts)
     upper = chain(reversed(pts))
-    verts = lower[:-1] + upper[:-1]
-    # rotate so the lowest-then-leftmost vertex comes first
-    start = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
-    return tuple(verts[start:] + verts[:start])
+    return lowest_first(lower[:-1] + upper[:-1])
+
+
+def lowest_first(vertices: list) -> tuple:
+    """The cyclic vertex list rotated so that its lowest-then-leftmost vertex comes first."""
+    start = min(range(len(vertices)), key=lambda i: (vertices[i][1], vertices[i][0]))
+    return tuple(vertices[start:] + vertices[:start])
 
 
 def hull_insert(vertices: tuple[Point, ...], p: Point) -> tuple[Point, ...]:

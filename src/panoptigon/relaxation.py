@@ -8,12 +8,12 @@ polygon, and edges can collapse; its vertices are exact rationals, so
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
-from .core import Polygon, convex_hull, hull_vertices, segment_ends
+from .core import Polygon, convex_hull, lowest_first, segment_ends
 from .transform import canonical_form
 
 RationalPoint = tuple[Fraction, Fraction]
@@ -45,37 +45,60 @@ class RationalPolygon:
         return [v for v in self.vertices if v[0].denominator != 1 or v[1].denominator != 1]
 
 
-def relax(poly: Polygon) -> RationalPolygon:
-    """Intersection of all edge half-planes pushed out by one unit.
+def _relaxed_corners(poly: Polygon) -> list[tuple[int, int, int]]:
+    """The vertices (X/det, Y/det) of relax(P) as integer triples, det > 0, in CCW order.
 
-    Vertices are exact rationals, hulled from the pairwise intersections
-    of the pushed-out lines that satisfy every half-plane.  An edge whose
-    pushed-out line meets the result in at most a point has collapsed.
-    Each intersection (X/det, Y/det) is tested in integers, with det > 0:
-    it satisfies a*x + b*y <= c iff a*X + b*Y <= c*det.
+    ``halfplanes`` come in CCW normal order, so one pass intersects the
+    pushed-out planes.  While the meeting point of the two planes at either
+    end of the deque is not strictly inside the new plane
+    (a*X + b*Y >= c*det), the plane at that end has collapsed and is
+    dropped; the same test against the other end then clears the
+    wrap-around.  Consecutive survivors turn by less than pi, so det > 0.
     """
     if poly.dimension != 2:
         raise ValueError("relaxation requires dimension 2")
-    planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
-    pts: set[RationalPoint] = set()
-    for (a1, b1, c1), (a2, b2, c2) in combinations(planes, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
-        if det < 0:
-            det, x, y = -det, -x, -y
-        if all(a * x + b * y <= c * det for a, b, c in planes):
-            pts.add((Fraction(x, det), Fraction(y, det)))
-    return RationalPolygon(hull_vertices(pts))
+
+    def meet(p, q) -> tuple[int, int, int]:
+        (a1, b1, c1), (a2, b2, c2) = p, q
+        return c1 * b2 - c2 * b1, a1 * c2 - a2 * c1, a1 * b2 - a2 * b1
+
+    def outside(p, q, plane) -> bool:
+        (x, y, det), (a, b, c) = meet(p, q), plane
+        return a * x + b * y >= c * det
+
+    planes: deque = deque()
+    for a, b, c in poly.halfplanes():
+        plane = (a, b, c + 1)
+        while len(planes) >= 2 and outside(planes[-2], planes[-1], plane):
+            planes.pop()
+        while len(planes) >= 2 and outside(planes[0], planes[1], plane):
+            planes.popleft()
+        planes.append(plane)
+    while len(planes) >= 3 and outside(planes[-2], planes[-1], planes[0]):
+        planes.pop()
+    while len(planes) >= 3 and outside(planes[0], planes[1], planes[-1]):
+        planes.popleft()
+    cycle = list(planes)
+    return [meet(p, q) for p, q in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+def relax(poly: Polygon) -> RationalPolygon:
+    """Intersection of all edge half-planes pushed out by one unit.
+
+    Vertices are exact rationals, one per pair of consecutive surviving
+    planes.  An edge whose pushed-out line meets the result in at most a
+    point has collapsed and contributes no vertex.
+    """
+    corners = _relaxed_corners(poly)
+    return RationalPolygon(lowest_first([(Fraction(x, d), Fraction(y, d)) for x, y, d in corners]))
 
 
 def relaxed_lattice(poly: Polygon) -> Optional[Polygon]:
     """relax(P) as a lattice Polygon, or None when a vertex is not integral."""
-    r = relax(poly)
-    if not r.is_lattice:
+    corners = _relaxed_corners(poly)
+    if any(x % d or y % d for x, y, d in corners):
         return None
-    return convex_hull((int(x), int(y)) for x, y in r.vertices)
+    return Polygon(lowest_first([(x // d, y // d) for x, y, d in corners]))
 
 
 def is_maximal(poly: Polygon) -> bool:

@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
 from typing import Iterable
 
@@ -21,8 +23,8 @@ from panoptigon.classify import (
     trapezoid,
     valid_forms,
 )
-from panoptigon.core import Point, Polygon, convex_hull, is_visible, orientation
-from panoptigon.relaxation import relaxed_lattice
+from panoptigon.core import Point, Polygon, convex_hull, hull_vertices, is_visible, orientation
+from panoptigon.relaxation import RationalPolygon, relaxed_lattice
 from panoptigon.transform import Functional, UnimodularMap, canonical_form, width_wrt
 
 
@@ -76,6 +78,27 @@ def random_polygon_2d(rng: random.Random, span: int = 6, points: int = 6) -> Pol
         poly = random_polygon(rng, span, points)
         if poly.dimension == 2:
             return poly
+
+
+def pairwise_relax(poly: Polygon) -> RationalPolygon:
+    """Relaxation oracle: hull of every pairwise meeting point of the
+    pushed-out lines that satisfies all pushed-out half-planes.
+
+    Each meeting point (X/det, Y/det) is tested in integers with det > 0:
+    it satisfies a*x + b*y <= c iff a*X + b*Y <= c*det.
+    """
+    planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
+    pts: set = set()
+    for (a1, b1, c1), (a2, b2, c2) in combinations(planes, 2):
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        x, y = c1 * b2 - c2 * b1, a1 * c2 - a2 * c1
+        if det < 0:
+            det, x, y = -det, -x, -y
+        if all(a * x + b * y <= c * det for a, b, c in planes):
+            pts.add((Fraction(x, det), Fraction(y, det)))
+    return RationalPolygon(hull_vertices(pts))
 
 
 def _compose(m1, m2):

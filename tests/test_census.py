@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from panoptigon import census as census_module
 from panoptigon.census import (
     FIXED_POINTS,
     SPORADIC_CONTAINER_TRAPEZOIDS,
@@ -27,7 +28,7 @@ from panoptigon.classify import (
     trapezoid,
     valid_forms,
 )
-from panoptigon.core import Polygon, convex_hull
+from panoptigon.core import Polygon, convex_hull, hull_insert
 from panoptigon.relaxation import is_maximal, relaxed_lattice
 from panoptigon.transform import are_equivalent, canonical_form, lattice_diameter, lattice_width
 
@@ -93,6 +94,21 @@ def test_closed_sets_match_frozenset_oracle_on_frame():
     )
     assert len(walk) == 345
     assert {poly.lattice_point_set for poly in walk} == _closed_sets_oracle(frame, [FIXED_POINTS])
+
+
+def test_dead_points_bound_frame_walk_insertions(monkeypatch):
+    # Each state's rejected hulls mark their points dead for its children;
+    # without that the frame walk makes 6,895 insertions for its 345 states.
+    calls = []
+
+    def counted(vertices, p):
+        calls.append(p)
+        return hull_insert(vertices, p)
+
+    monkeypatch.setattr(census_module, "hull_insert", counted)
+    walk = convex_closed_sets(candidate_point_set(), [convex_hull(FIXED_POINTS)])
+    assert len(walk) == 345
+    assert len(calls) <= 3100, len(calls)
 
 
 def test_escape_count_matches_bbox_oracle_on_frame():

@@ -14,7 +14,7 @@ from panoptigon.cli import (
     analyze_polygon,
     main,
 )
-from panoptigon.classify import HyperellipticForm, is_panoptigon
+from panoptigon.classify import is_panoptigon
 from panoptigon.core import convex_hull
 from panoptigon.formats import parse_polygon_text, polygon_to_text
 from panoptigon.relaxation import relax
@@ -143,7 +143,7 @@ def table_text(key, value) -> str:
     if value is None or value == []:
         return "-"
     if key == "hyperelliptic_form":
-        return str(HyperellipticForm(**value))
+        return " ".join([value["kind"]] + ["%s=%d" % (k, value[k]) for k in "gijk" if k in value])
     if isinstance(value, dict):
         value = value["vertices"]
     if isinstance(value, list):
@@ -191,6 +191,17 @@ def test_analyze_table_rows_match_json_keys(capsys, text, known):
         for key, label in TABLE_LABELS.items()
     ]
     assert sorted(table.splitlines()) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "text,form",
+    [("0,0 2,0 3,2 1,2", "Type1 g=2 i=2 j=0"), ("0,0 10,0 10,2 0,2", "Type3 g=9 i=10 j=10 k=0")],
+)
+def test_analyze_table_hyperelliptic_form_row(capsys, text, form):
+    """The width-2 form row reads like the JSON: kind, then g, i, j, and k for Type3 only."""
+    _, table, _ = run(["analyze", text, "--table"], capsys)
+    width = max(map(len, TABLE_LABELS.values()))
+    assert "%-*s  %s" % (width, "hyperelliptic form", form) in table.splitlines()
 
 
 def test_analyze_parse_error(capsys):

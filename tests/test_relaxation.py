@@ -7,7 +7,15 @@ from panoptigon.classify import hyperelliptic_polygon, standard_triangle, trapez
 from panoptigon.core import convex_hull
 from panoptigon.relaxation import is_maximal, relax, relaxed_lattice
 
-from conftest import boundary_point_count, double_area, random_polygon, random_unimodular_map
+from conftest import (
+    boundary_point_count,
+    double_area,
+    pairwise_relax,
+    random_polygon,
+    random_polygon_2d,
+    random_sheared_polygon,
+    random_unimodular_map,
+)
 
 
 def rational_contains(relaxed, p) -> bool:
@@ -63,6 +71,51 @@ def test_trapezoid_relaxation_family():
             else:
                 assert set(result.vertices) == expected, (a, b)
             assert result.genus == a + b + 2, (a, b)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        convex_hull([(0, 0), (1, 0), (5, 1), (1, 2)]),
+        trapezoid(1, 4),
+        trapezoid(2, 6),
+        trapezoid(1, 7),
+        trapezoid(0, 3),
+        standard_triangle(1),
+        convex_hull([(0, 0), (1, 300000), (0, 1)]),
+    ],
+    ids=repr,
+)
+def test_relax_matches_pairwise_oracle_on_known_cases(poly):
+    # Collapsing edges (the first four), a nonlattice relaxation, T_1, and a
+    # needle with 3 lattice points.
+    assert relax(poly).vertices == pairwise_relax(poly).vertices
+
+
+def test_relax_matches_pairwise_oracle_on_random_polygons():
+    """Exact vertex tuples, on small, wide and sheared polygons; some edge collapses in many."""
+    rng = random.Random(1212)
+    makers = (
+        lambda: random_polygon_2d(rng),
+        lambda: random_polygon_2d(rng, span=2, points=4),
+        lambda: random_polygon_2d(rng, span=40, points=rng.randint(3, 12)),
+        lambda: random_sheared_polygon(rng),
+    )
+    checked = collapsing = 0
+    while checked < 2400:
+        poly = makers[checked % 4]()
+        if poly.dimension != 2:
+            continue
+        expected = pairwise_relax(poly)
+        assert relax(poly).vertices == expected.vertices, poly
+        lattice = relaxed_lattice(poly)
+        assert (lattice is not None) == expected.is_lattice, poly
+        assert lattice is None or lattice.vertices == tuple(
+            (int(x), int(y)) for x, y in expected.vertices
+        ), poly
+        checked += 1
+        collapsing += bool(collapsed_edges(poly))
+    assert collapsing > 100, collapsing
 
 
 def test_collapsed_edges_recorded():
