@@ -1,12 +1,15 @@
 """Exhaustive computations: the 30-point census, sporadic searches, and
 the maximal lattice-width-3/4 generators.
 
-The headline numbers the suite is built around: 215 raw polygons from the
-30-point enumeration, collapsing to 67 classes of non-hyperelliptic
-panoptigons with lattice diameter >= 3, plus 3 sporadic classes of lattice
-diameter 2, giving 70 in all; adding the degree-3 triangle yields the 71
-panoptigons of lattice width >= 3.  The quoted 69/72/73 count two pairs of
-unimodularly equivalent polygons as separate classes.
+``classes`` is the one route from polygons to classes: every generator
+returns canonical forms, each class once.  The headline numbers the suite
+is built around: 215 raw polygons from the 30-point enumeration collapse
+to 68 classes; with the 3 sporadic classes of lattice diameter 2 they are
+the 71 panoptigon classes of lattice width >= 3.  The degree-3 triangle
+T_3 is the frame's one hyperelliptic raw polygon, and the other 70 are
+non-hyperelliptic (67 of them with lattice diameter >= 3).  The quoted
+69/72/73 count two pairs of unimodularly equivalent polygons as separate
+classes.
 """
 
 from __future__ import annotations
@@ -168,6 +171,11 @@ def convex_closed_sets(
     return visited
 
 
+def classes(polys: Iterable[Polygon]) -> list[Polygon]:
+    """The polygons' canonical forms, each class once, ordered by vertices."""
+    return sorted({canonical_form(p) for p in polys}, key=lambda p: p.vertices)
+
+
 def enumerate_raw() -> set[Polygon]:
     """All polygons on the 30 candidate points containing the 5 fixed ones.
 
@@ -180,7 +188,8 @@ def enumerate_raw() -> set[Polygon]:
     least one interior point and lattice width >= 3 (the subject of the
     census; thinner polygons occur in the frame but belong to the
     separately classified width-1/2 families).  Every output is
-    automatically a panoptigon with panoptigon point (0,0).
+    automatically a panoptigon with panoptigon point (0,0).  T_3, of width
+    and diameter 3, is the one hyperelliptic output.
     """
     seed = convex_hull(FIXED_POINTS)
     assert seed.lattice_point_set == FIXED_POINTS
@@ -207,7 +216,7 @@ class CensusRecord:
 
     @classmethod
     def from_polygon(cls, canon: Polygon) -> "CensusRecord":
-        """The record of a canonical form; callers canonicalize with ``canonical_form``."""
+        """The record of a canonical form, as ``classes`` returns them."""
         relaxed = relaxed_lattice(canon)
         return cls(
             canonical=canon,
@@ -220,9 +229,6 @@ class CensusRecord:
             relaxation_lattice=relaxed is not None,
             max_polygon=relaxed,
         )
-
-    def sort_key(self):
-        return (self.lattice_point_count, self.canonical.vertices)
 
     def to_json(self) -> dict:
         return {
@@ -240,26 +246,10 @@ class CensusRecord:
         }
 
 
-def sort_records(records: Iterable[CensusRecord]) -> list[CensusRecord]:
-    """Deterministic order: by lattice-point count, then canonical vertices."""
-    return sorted(records, key=CensusRecord.sort_key)
-
-
 def records_to_ndjson(records: Iterable[CensusRecord]) -> str:
-    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in sort_records(records))
-
-
-def nonhyperelliptic_census(raw: set[Polygon]) -> list[CensusRecord]:
-    """The 67 classes of non-hyperelliptic panoptigons with diameter >= 3.
-
-    ``raw`` is the output of ``enumerate_raw``.  The quoted count of 69
-    splits two pairs of equivalent polygons.
-    """
-    classes: dict[Polygon, Polygon] = {}
-    for poly in raw:
-        if not is_hyperelliptic(poly):
-            classes.setdefault(canonical_form(poly), poly)
-    return sort_records(CensusRecord.from_polygon(c) for c in classes)
+    """One JSON line per record, by lattice-point count, then canonical vertices."""
+    ordered = sorted(records, key=lambda r: (r.lattice_point_count, r.canonical.vertices))
+    return "".join(json.dumps(r.to_json(), sort_keys=True) + "\n" for r in ordered)
 
 
 SPORADIC_LD2_VERTICES = (
@@ -290,14 +280,13 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
     T(a, b) alone.  Diameter <= 2 holds on every subset of a set where it
     holds, so it prunes the walk without losing any such P.
     """
-    records = []
-    for vertices in SPORADIC_LD2_VERTICES:
-        rec = CensusRecord.from_polygon(canonical_form(convex_hull(vertices)))
+    known = classes(convex_hull(vertices) for vertices in SPORADIC_LD2_VERTICES)
+    records = [CensusRecord.from_polygon(canon) for canon in known]
+    for rec in records:
         assert not rec.hyperelliptic and rec.panoptigon_points
         assert rec.lattice_diameter == 2 and rec.lattice_width == 3
-        records.append(rec)
     if exhaustive:
-        found: set[Polygon] = set()
+        found: list[Polygon] = []
         for a, b in SPORADIC_CONTAINER_TRAPEZOIDS:
             inner = trapezoid(a, b)
             container = relaxed_lattice(inner)
@@ -307,27 +296,30 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
                 [inner],
                 keep=lambda poly: not has_lattice_segment(poly, 3),
             )
-            for poly in walk:
-                if lattice_width(poly)[0] < 3:
-                    continue
-                if is_hyperelliptic(poly) or not is_panoptigon(poly).is_panoptigon:
-                    continue
-                found.add(canonical_form(poly))
-        if found != {r.canonical for r in records}:
+            found.extend(
+                poly
+                for poly in walk
+                if lattice_width(poly)[0] >= 3
+                and not is_hyperelliptic(poly)
+                and is_panoptigon(poly).is_panoptigon
+            )
+        if classes(found) != known:
             raise AssertionError("sporadic search disagrees with the known three classes")
-    return sort_records(records)
+    return records
 
 
 def full_panoptigon_census(raw: set[Polygon]):
     """(70 non-hyperelliptic records, 71 width->=3 records incl. T_3).
 
-    ``raw`` is the output of ``enumerate_raw``.  The quoted 72/73 split two
-    pairs of equivalent polygons.
+    ``raw`` is the output of ``enumerate_raw``.  The width->=3 records are
+    the records of ``classes(raw)`` plus the three sporadic ones; T_3 is the
+    frame's one hyperelliptic raw polygon, so the non-hyperelliptic records
+    are those less T_3.  The quoted 72/73 split two pairs of equivalent
+    polygons.
     """
-    records = nonhyperelliptic_census(raw) + sporadic_ld2(exhaustive=False)
-    nonhyp = sort_records(records)
-    triangle = CensusRecord.from_polygon(canonical_form(standard_triangle(3)))
-    lw3plus = sort_records(nonhyp + [triangle])
+    lw3plus = [CensusRecord.from_polygon(canon) for canon in classes(raw)]
+    lw3plus += sporadic_ld2(exhaustive=False)
+    nonhyp = [r for r in lw3plus if not r.hyperelliptic]
     return nonhyp, lw3plus
 
 
@@ -359,13 +351,14 @@ def genus1_classes() -> tuple[Polygon, ...]:
     walk is seeded with {(0,0)} alone.
     """
     origin = convex_hull([(0, 0)])
-    classes: set[Polygon] = set()
-    for vertices in GENUS1_MAXIMAL_VERTICES:
-        universe = convex_hull(vertices).lattice_point_set
-        for poly in convex_closed_sets(universe, [origin]):
-            if poly.dimension == 2 and poly.genus == 1:
-                classes.add(canonical_form(poly))
-    return tuple(sorted(classes, key=lambda p: p.vertices))
+    return tuple(
+        classes(
+            poly
+            for vertices in GENUS1_MAXIMAL_VERTICES
+            for poly in convex_closed_sets(convex_hull(vertices).lattice_point_set, [origin])
+            if poly.dimension == 2 and poly.genus == 1
+        )
+    )
 
 
 def genus1_lw2_classes() -> list[Polygon]:
@@ -376,26 +369,22 @@ def genus1_lw2_classes() -> list[Polygon]:
 def maximal_lw3(g: int) -> list[Polygon]:
     """All maximal polygons of lattice width 3 and genus g >= 3.
 
-    These are the lattice relaxations of trapezoids with a+b+2 = g; the
-    relaxation is integral exactly when a >= b/2 - 1.  Results are verified
-    maximal and deduplicated.  (The degree-3 triangle is the lone width-3
-    maximal polygon outside this family, at genus 1, below this range.)
+    These are the lattice relaxations of trapezoids T(a, b) with a+b+2 = g
+    and a <= b; the relaxation is integral exactly when a >= b/2 - 1, so a
+    runs from floor((g-2)/3) to floor((g-2)/2).  Results are verified
+    maximal and returned as ``classes``.  (The degree-3 triangle is the
+    lone width-3 maximal polygon outside this family, at genus 1, below
+    this range.)
     """
     if g < 3:
         raise ValueError("maximal width-3 polygons require genus >= 3")
-    out: dict[Polygon, Polygon] = {}
-    for a in range(0, (g - 2) // 2 + 1):
-        b = g - 2 - a
-        if a > b or b < 1 or 2 * a < b - 2:
-            continue
-        relaxed = relaxed_lattice(trapezoid(a, b))
-        if relaxed is None:
-            continue
-        if lattice_width(relaxed)[0] != 3:
-            continue
-        assert relaxed.genus == g and is_maximal(relaxed)
-        out.setdefault(canonical_form(relaxed), relaxed)
-    return sorted(out.values(), key=lambda p: p.vertices)
+    out = []
+    for a in range((g - 2) // 3, (g - 2) // 2 + 1):
+        relaxed = relaxed_lattice(trapezoid(a, g - 2 - a))
+        if relaxed is not None and lattice_width(relaxed)[0] == 3:
+            assert relaxed.genus == g and is_maximal(relaxed)
+            out.append(relaxed)
+    return classes(out)
 
 
 def maximal_lw3_count_formula(g: int) -> int:
@@ -451,11 +440,11 @@ def maximal_lw4(g: int) -> list[Polygon]:
             relaxed = relaxed_lattice(hyperelliptic_polygon(form))
             assert relaxed is not None
             candidates.append(relaxed)
-    out: dict[Polygon, Polygon] = {}
-    for poly in candidates:
-        if poly.genus == g and lattice_width(poly)[0] == 4 and is_maximal(poly):
-            out.setdefault(canonical_form(poly), poly)
-    return sorted(out.values(), key=lambda p: p.vertices)
+    return classes(
+        poly
+        for poly in candidates
+        if poly.genus == g and lattice_width(poly)[0] == 4 and is_maximal(poly)
+    )
 
 
 @dataclass(frozen=True)

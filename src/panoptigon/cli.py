@@ -23,7 +23,6 @@ from .census import (
     maximal_lw3_count_formula,
     maximal_lw4,
     records_to_ndjson,
-    sort_records,
 )
 from .classify import HyperellipticForm, hyperelliptic_normal_form, is_hyperelliptic, is_panoptigon
 from .core import Polygon
@@ -179,7 +178,7 @@ def cmd_census(args) -> int:
 
     if maximal:
         polys = maximal_lw3(args.genus) if kind == "maximal-lw3" else maximal_lw4(args.genus)
-        records = sort_records(CensusRecord.from_polygon(canonical_form(p)) for p in polys)
+        records = [CensusRecord.from_polygon(canon) for canon in polys]
         summary = {"kind": kind, "genus": args.genus, "count": len(records)}
         if kind == "maximal-lw3" and args.genus >= 4:
             formula = maximal_lw3_count_formula(args.genus)
@@ -193,7 +192,7 @@ def cmd_census(args) -> int:
             print("%s genus %d: %d polygons" % (kind, args.genus, len(records)))
     elif kind == "raw":
         raw = enumerate_raw()
-        records = sort_records(CensusRecord.from_polygon(canonical_form(p)) for p in raw)
+        records = [CensusRecord.from_polygon(canonical_form(p)) for p in raw]
         summary = {"kind": kind, "raw": len(raw)}
         print("raw census: %d polygons" % len(raw))
     else:  # nonhyperelliptic | full

@@ -127,7 +127,8 @@ class Polygon:
         The bounds are exact rational edge intersections, rounded with
         integer floor/ceil.  Offset 0 gives P's lattice points; offset -1
         gives its strict interior, since for integers a*x + b*y < c exactly
-        when a*x + b*y <= c - 1.
+        when a*x + b*y <= c - 1.  Only rows in the vertices' y-range are
+        scanned, so the offset must be <= 0.
         """
         planes = self.halfplanes()
         ys = [y for _, y in self.vertices]

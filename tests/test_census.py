@@ -1,5 +1,6 @@
 import json
-from math import gcd
+from itertools import product
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -23,14 +24,21 @@ from panoptigon.census import (
 )
 from panoptigon.classify import (
     hyperelliptic_polygon,
+    is_hyperelliptic,
     is_panoptigon,
     standard_triangle,
     trapezoid,
     valid_forms,
 )
 from panoptigon.core import Polygon, convex_hull, hull_insert
-from panoptigon.relaxation import is_maximal, relaxed_lattice
-from panoptigon.transform import are_equivalent, canonical_form, lattice_diameter, lattice_width
+from panoptigon.relaxation import is_maximal, relax, relaxed_lattice
+from panoptigon.transform import (
+    are_equivalent,
+    canonical_form,
+    has_lattice_segment,
+    lattice_diameter,
+    lattice_width,
+)
 
 from conftest import bbox_lattice_points, corollary_lw12_check, obstruction_witnesses
 
@@ -167,6 +175,15 @@ def test_nonhyperelliptic_census_classes(census):
     assert len(lw3plus) == len(nonhyp) + 1
 
 
+def test_t3_is_the_frames_one_hyperelliptic_polygon(raw_polygons, census):
+    # The width->=3 census is classes(raw) plus the sporadic three, with no
+    # T_3 added by hand: the frame holds it, and it alone is hyperelliptic.
+    t3 = canonical_form(standard_triangle(3))
+    assert [canonical_form(p) for p in raw_polygons if is_hyperelliptic(p)] == [t3]
+    nonhyp, lw3plus = census
+    assert {r.canonical for r in lw3plus} - {r.canonical for r in nonhyp} == {t3}
+
+
 def test_census_records_pairwise_inequivalent_panoptigons(census):
     nonhyp, _ = census
     canons = {r.canonical for r in nonhyp}
@@ -208,6 +225,55 @@ def test_sporadic_diameter_classes():
         assert r.lattice_diameter <= 2
         assert r.lattice_width >= 3
         assert r.panoptigon_points
+
+
+def _grow_short_panoptigons() -> set[Polygon]:
+    """Classes of panoptigons with no lattice segment of length 3, grown from T_1.
+
+    A step adds one lattice point q of relax(P) outside P.  Each candidate
+    comes from the box of relax(P)'s rational vertices and is tested against
+    the pushed-out planes a*x + b*y <= c + 1; q lies at most one lattice
+    unit beyond every edge, so the hull of P and q gains q alone.  Every
+    such polygon shrinks to a unimodular triangle by dropping, one at a
+    time, a vertex other than a panoptigon point while staying
+    2-dimensional.  Both conditions survive each drop, and the dropped
+    vertex lies in relax of the rest (two units beyond an edge, it would
+    bring a second point along), so the growth reaches every class.
+    Independent of the container bound of ``sporadic_ld2``.
+    """
+    start = canonical_form(standard_triangle(1))
+    grown = {start}
+    stack = [start]
+    while stack:
+        poly = stack.pop()
+        planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
+        xs, ys = zip(*relax(poly).vertices)
+        for q in product(
+            range(floor(min(xs)), ceil(max(xs)) + 1), range(floor(min(ys)), ceil(max(ys)) + 1)
+        ):
+            if q in poly.lattice_point_set or any(a * q[0] + b * q[1] > c for a, b, c in planes):
+                continue
+            child = convex_hull(poly.vertices + (q,))
+            assert child.lattice_point_set == poly.lattice_point_set | {q}, (poly, q)
+            if has_lattice_segment(child, 3) or not is_panoptigon(child).is_panoptigon:
+                continue
+            canon = canonical_form(child)
+            if canon not in grown:
+                grown.add(canon)
+                stack.append(canon)
+    return grown
+
+
+def test_sporadic_three_match_point_growth():
+    # An oracle for the sporadic search and for its list of containers.
+    grown = _grow_short_panoptigons()
+    assert len(grown) == 27
+    assert max(len(poly.lattice_point_set) for poly in grown) == 9
+    wide = {poly for poly in grown if lattice_width(poly)[0] >= 3 and not is_hyperelliptic(poly)}
+    assert wide == {r.canonical for r in sporadic_ld2(exhaustive=True)}
+    for poly in wide:
+        inner = poly.interior_polygon()
+        assert any(are_equivalent(inner, trapezoid(a, b)) for a, b in SPORADIC_CONTAINER_TRAPEZOIDS)
 
 
 def record_from_json(d: dict) -> CensusRecord:

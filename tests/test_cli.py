@@ -328,6 +328,40 @@ def test_census_full_reports_mismatch(tmp_path, capsys, monkeypatch):
     assert summary["by_count"]["13"] == 8
 
 
+def _count_calls(m, name, modules) -> list:
+    """Route ``name`` in each module through one counting wrapper."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        m.setattr(module, name, counted)
+    return calls
+
+
+def test_census_classifies_each_record_once(tmp_path, capsys, monkeypatch):
+    # The maximal generators return canonical forms, so each record's form is
+    # computed once; `census full` classifies its records and nothing else.
+    census.genus1_classes()
+    written = 0
+    with monkeypatch.context() as m:
+        canon_calls = _count_calls(m, "canonical_form", (census, cli))
+        for kind, genera in (("maximal-lw4", range(3, 11)), ("maximal-lw3", range(3, 13))):
+            for g in genera:
+                code, _, _ = run(["census", kind, "--genus", str(g), "--out", str(tmp_path)], capsys)
+                assert code == EXIT_OK
+                written += len((tmp_path / ("census_%s.ndjson" % kind)).read_text().splitlines())
+    assert len(canon_calls) == written == 63
+    with monkeypatch.context() as m:
+        hyp_calls = _count_calls(m, "is_hyperelliptic", (census, cli))
+        code, _, _ = run(["census", "full", "--out", str(tmp_path)], capsys)
+    assert code == EXIT_OK
+    assert len(hyp_calls) == len((tmp_path / "census_full.ndjson").read_text().splitlines()) == 71
+
+
 def test_render_subcommand(tmp_path, capsys):
     out_svg = tmp_path / "t3.svg"
     code, out, _ = run(["render", "0,0 3,0 0,3", "--svg", str(out_svg)], capsys)
