@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 census count mismatch, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -249,6 +250,7 @@ def cmd_render(args) -> int:
     return _write_svg(poly, args.svg, relaxed=args.relaxed)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panoptigon",
@@ -263,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true", help="JSON output (default)")
     fmt.add_argument("--table", action="store_true", help="human-readable table")
     analyze.add_argument("--svg", metavar="PATH", help="also render to SVG")
-    analyze.set_defaults(func=cmd_analyze)
 
     census = sub.add_parser("census", help="run an enumeration and write records")
     census.add_argument(
@@ -272,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     census.add_argument("--genus", type=int, help="genus for the maximal-* kinds")
     census.add_argument("--out", help="output directory (default $PANOPTIGON_OUT or .)")
-    census.set_defaults(func=cmd_census)
 
     render = sub.add_parser("render", help="draw a polygon as SVG")
     render.add_argument("polygon", help="vertices 'x,y x,y ...' or @file")
@@ -280,18 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument(
         "--relaxed", action="store_true", help="overlay the relaxed polygon"
     )
-    render.set_defaults(func=cmd_render)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; never raises ``SystemExit``.
+
+    The parser is built on the first call and reused by every later call in
+    the process.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes.
-        return EXIT_USAGE if exc.code not in (0,) else 0
-    return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    command = {"analyze": cmd_analyze, "census": cmd_census, "render": cmd_render}
+    return command[args.command](args)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import argparse
 import json
 import signal
 from contextlib import contextmanager
@@ -375,6 +376,70 @@ def test_render_degenerate_exits_io(tmp_path, capsys):
     )
     assert code == EXIT_IO
     assert "cannot render dimension < 2" in err
+
+
+def test_help_prints_usage_to_stdout(capsys):
+    code, out, err = run(["--help"], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("usage: panoptigon ")
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["analyze"]])
+def test_missing_arguments_are_usage_errors(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error: the following arguments are required" in err
+
+
+def test_parser_reuse_carries_no_state(tmp_path, capsys):
+    """Each call through the one cached parser answers as a freshly built parser does.
+
+    ``--table`` must not outlive its call, and neither may a failed parse or ``--help``.
+    """
+    sequence = [
+        ["analyze", "0,1 0,3 4,0", "--table"],
+        ["analyze", "0,1 0,3 4,0"],
+        ["analyze", "0,0 zap"],
+        [],
+        ["--help"],
+        ["census", "maximal-lw3", "--out", str(tmp_path)],
+        ["census", "maximal-lw3", "--genus", "5", "--out", str(tmp_path)],
+        ["analyze", "0,0 3,0 0,3"],
+    ]
+    cli.build_parser.cache_clear()
+    reused = [run(argv, capsys) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2, 0, 2, 0, 0]
+    assert fresh[0][1] != fresh[1][1]
+    assert reused == fresh
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    run(["analyze", "0,0 3,0 0,3"], capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv, want in (
+        (["analyze", "0,0 3,0 0,3"], EXIT_OK),
+        (["analyze", "0,0 3,0 0,3", "--table"], EXIT_OK),
+        (["census", "maximal-lw3", "--genus", "5", "--out", str(tmp_path)], EXIT_OK),
+        (["render", "0,0 3,0 0,3", "--svg", str(tmp_path / "t3.svg")], EXIT_OK),
+        (["census", "full", "--threads", "4"], EXIT_USAGE),
+        (["--help"], EXIT_OK),
+    ):
+        code, _, _ = run(argv, capsys)
+        assert code == want, argv
+    assert built == []
 
 
 def test_analyze_polygon_fields_recomputable():
