@@ -4,7 +4,6 @@ from .core import Point, Polygon, convex_hull, is_visible
 from .transform import (
     Functional,
     UnimodularMap,
-    are_equivalent,
     canonical_form,
     has_lattice_segment,
     lattice_diameter,
@@ -32,9 +31,8 @@ from .census import (
     enumerate_raw,
     full_panoptigon_census,
     genus1_classes,
-    maximal_lw3,
     maximal_lw3_count_formula,
-    maximal_lw4,
+    maximal_polygons,
     relax_condition,
     sporadic_ld2,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "is_visible",
     "Functional",
     "UnimodularMap",
-    "are_equivalent",
     "canonical_form",
     "has_lattice_segment",
     "lattice_diameter",
@@ -73,9 +70,8 @@ __all__ = [
     "enumerate_raw",
     "full_panoptigon_census",
     "genus1_classes",
-    "maximal_lw3",
     "maximal_lw3_count_formula",
-    "maximal_lw4",
+    "maximal_polygons",
     "relax_condition",
     "sporadic_ld2",
 ]

@@ -1,5 +1,5 @@
 """Exhaustive computations: the 30-point census, sporadic searches, and
-the maximal lattice-width-3/4 generators.
+the maximal polygons of lattice width 3 and 4.
 
 ``classes`` is the one route from polygons to classes: every generator
 returns canonical forms, each class once.  The headline numbers the suite
@@ -25,12 +25,11 @@ from .classify import (
     hyperelliptic_polygon,
     is_hyperelliptic,
     is_panoptigon,
-    standard_triangle,
     trapezoid,
     valid_forms,
 )
 from .core import Point, Polygon, convex_hull, hull_insert, is_visible
-from .relaxation import GENUS1_MAXIMAL_VERTICES, is_maximal, relaxed_lattice
+from .relaxation import GENUS1_MAXIMAL_VERTICES, relaxed_lattice
 from .transform import canonical_form, has_lattice_segment, lattice_diameter, lattice_width
 
 FIXED_POINTS = frozenset({(0, 0), (-1, -1), (0, -1), (1, -1), (2, -1)})
@@ -44,9 +43,21 @@ def candidate_point_set() -> frozenset[Point]:
 
     Derivation, with (0,0) as panoptigon point and the bottom row pinned to
     start at (-1,-1): height -2 admits only odd x in [-3,9]; height -1 only
-    x in [-1,5]; height 0 only |x| <= 1; above the axis x is confined to
-    [-y-1, 1], the point must be origin-visible, and the triangle it spans
-    with the fixed points must not force an invisible point.
+    x in [-1,5]; height 0 only |x| <= 1; above the axis the point must be
+    origin-visible, and the triangle it spans with the fixed points must
+    not force an invisible point.  The scanned rows above the axis are
+    proved bounds.  For q = (x, y) with y >= 1, the polygon contains the
+    triangle of q, (-1,-1) and (2,-1):
+
+    - y <= 7.  The triangle crosses height 2 in an interval of length
+      3(y - 2)/(y + 1), which is >= 2 for y >= 8.  Such an interval holds
+      two consecutive integers, so the triangle holds a point (even, 2),
+      hidden from (0,0) by (even/2, 1).
+    - x in [-y-1, 1].  The triangle's edges cross height 0 at
+      (x - y)/(y + 1) and (x + 2y)/(y + 1).  The polygon also contains
+      (0,0), so its row at height 0 spans both crossings and 0.  That row
+      must miss the hidden points (-2,0) and (2,0), so -2 < (x - y)/(y + 1),
+      i.e. x >= -y - 1, and (x + 2y)/(y + 1) < 2, i.e. x <= 1.
     """
     pts: set[Point] = set()
     pts.update((x, -2) for x in range(-3, 10) if x % 2 != 0)
@@ -366,34 +377,14 @@ def genus1_lw2_classes() -> list[Polygon]:
     return [p for p in genus1_classes() if lattice_width(p)[0] == 2]
 
 
-def maximal_lw3(g: int) -> list[Polygon]:
-    """All maximal polygons of lattice width 3 and genus g >= 3.
-
-    These are the lattice relaxations of trapezoids T(a, b) with a+b+2 = g
-    and a <= b; the relaxation is integral exactly when a >= b/2 - 1, so a
-    runs from floor((g-2)/3) to floor((g-2)/2).  Results are verified
-    maximal and returned as ``classes``.  (The degree-3 triangle is the
-    lone width-3 maximal polygon outside this family, at genus 1, below
-    this range.)
-    """
-    if g < 3:
-        raise ValueError("maximal width-3 polygons require genus >= 3")
-    out = []
-    for a in range((g - 2) // 3, (g - 2) // 2 + 1):
-        relaxed = relaxed_lattice(trapezoid(a, g - 2 - a))
-        if relaxed is not None and lattice_width(relaxed)[0] == 3:
-            assert relaxed.genus == g and is_maximal(relaxed)
-            out.append(relaxed)
-    return classes(out)
-
-
 def maximal_lw3_count_formula(g: int) -> int:
     """floor((g-2)/2) - ceil((g-4)/3) + 1, the number of maximal lw3 polygons.
 
-    ``maximal_lw3`` relaxes T(a, b) with a + b = g - 2 and a <= b, so
-    a <= floor((g-2)/2), and the relaxation is integral exactly when 2a >=
-    b - 2 = g - 4 - a, i.e. a >= ceil((g-4)/3) = floor((g-2)/3).  For g >= 4
-    such a have a >= 0 and b >= 1, and each gives one class (the CLI checks).
+    ``maximal_polygons(g, 3)`` relaxes T(a, b) with a + b = g - 2 and
+    a <= b, so a <= floor((g-2)/2), and the relaxation is integral exactly
+    when 2a >= b - 2 = g - 4 - a, i.e. a >= ceil((g-4)/3) = floor((g-2)/3).
+    For g >= 4 such a have a >= 0 and b >= 1, and each gives one class (the
+    CLI checks).
     """
     if g < 4:
         raise ValueError("count formula stated for genus >= 4")
@@ -415,35 +406,39 @@ def relax_condition(form: HyperellipticForm) -> bool:
     return 2 * i >= g - 1 and 2 * j >= g - 1
 
 
-def maximal_lw4(g: int) -> list[Polygon]:
-    """All maximal polygons of lattice width 4 and genus g >= 3.
+def maximal_polygons(g: int, width: int) -> list[Polygon]:
+    """All maximal polygons of genus g >= 3 and lattice width 3 or 4.
 
-    Either T_4 (genus 3); a relaxation of a genus-1 width-2 polygon; or a
-    relaxation of a width-2 form passing the integrality condition.  The
-    generating interior polygon must have exactly g lattice points.
+    Each is relax(Q) for a candidate interior Q with g lattice points, kept
+    when it is a lattice polygon of genus g and the wanted width:
+
+    - Sound: if relax(Q) is a lattice polygon P of genus g, Q's g points
+      lie strictly inside it, so int P = Q and P = relax(int P) is maximal.
+    - Complete: P's interior is 2-dimensional (a collinear interior of
+      g >= 2 points gives width 2), so a maximal P is relax(int P) (the
+      moving-out bound: Koelman 1991; Castryck, "Moving out the edges of a
+      lattice polygon", DCG 2012), and lw(int P) = lw(P) - 2 unless P is
+      T_d.  So for width 3, int P has width 1 and is a trapezoid T(a, b)
+      with a + b + 2 = g; for width 4 it has width 2 and genus 1 (one of
+      ``genus1_lw2_classes``) or genus >= 2 (a width-2 form; those failing
+      ``relax_condition`` relax to no lattice polygon), since the one of
+      genus 0, T_2, relaxes to T_5.  Genus g >= 3 leaves out T_3, and
+      T(0, 1) = T_1 relaxes to T_4.
     """
-    if g < 3:
-        raise ValueError("maximal width-4 polygons require genus >= 3")
-    candidates: list[Polygon] = []
-    if g == 3:
-        candidates.append(standard_triangle(4))
-    for inner in genus1_lw2_classes():
-        if len(inner.lattice_point_set) != g:
-            continue
-        relaxed = relaxed_lattice(inner)
-        if relaxed is not None:
-            candidates.append(relaxed)
-    for g0 in range(2, g - 2):
-        for form in valid_forms(g0):
-            if form.lattice_point_count() != g or not relax_condition(form):
-                continue
-            relaxed = relaxed_lattice(hyperelliptic_polygon(form))
-            assert relaxed is not None
-            candidates.append(relaxed)
+    if width not in (3, 4) or g < 3:
+        raise ValueError("maximal polygons need width 3 or 4 and genus >= 3")
+    interiors = [trapezoid(a, g - 2 - a) for a in range((g - 2) // 2 + 1)]
+    if width == 4:
+        interiors += [q for q in genus1_lw2_classes() if len(q.lattice_point_set) == g]
+        interiors += [
+            hyperelliptic_polygon(form)
+            for g0 in range(2, g - 2)
+            for form in valid_forms(g0)
+            if form.lattice_point_count() == g and relax_condition(form)
+        ]
+    relaxed = map(relaxed_lattice, interiors)
     return classes(
-        poly
-        for poly in candidates
-        if poly.genus == g and lattice_width(poly)[0] == 4 and is_maximal(poly)
+        p for p in relaxed if p is not None and p.genus == g and lattice_width(p)[0] == width
     )
 
 

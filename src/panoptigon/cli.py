@@ -20,9 +20,8 @@ from .census import (
     census_summary,
     enumerate_raw,
     full_panoptigon_census,
-    maximal_lw3,
     maximal_lw3_count_formula,
-    maximal_lw4,
+    maximal_polygons,
     records_to_ndjson,
 )
 from .classify import HyperellipticForm, hyperelliptic_normal_form, is_hyperelliptic, is_panoptigon
@@ -178,7 +177,7 @@ def cmd_census(args) -> int:
     records: list[CensusRecord]
 
     if maximal:
-        polys = maximal_lw3(args.genus) if kind == "maximal-lw3" else maximal_lw4(args.genus)
+        polys = maximal_polygons(args.genus, 3 if kind == "maximal-lw3" else 4)
         records = [CensusRecord.from_polygon(canon) for canon in polys]
         summary = {"kind": kind, "genus": args.genus, "count": len(records)}
         if kind == "maximal-lw3" and args.genus >= 4:

@@ -221,7 +221,3 @@ def canonical_form(poly: Polygon) -> Polygon:
     mirror = convex_hull((x, -y) for x, y in poly.vertices)
     best = min(min(_candidates(poly)), min(_candidates(mirror)))
     return Polygon(best)
-
-
-def are_equivalent(p: Polygon, q: Polygon) -> bool:
-    return canonical_form(p) == canonical_form(q)

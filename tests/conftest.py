@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import gcd
-from typing import Iterable
+from itertools import combinations, product
+from math import ceil, floor, gcd
+from typing import Callable, Iterable, Optional
 
 import pytest
 
@@ -23,8 +23,16 @@ from panoptigon.classify import (
     trapezoid,
     valid_forms,
 )
-from panoptigon.core import Point, Polygon, convex_hull, hull_vertices, is_visible, orientation
-from panoptigon.relaxation import RationalPolygon, relaxed_lattice
+from panoptigon.core import (
+    Point,
+    Polygon,
+    convex_hull,
+    hull_insert,
+    hull_vertices,
+    is_visible,
+    orientation,
+)
+from panoptigon.relaxation import RationalPolygon, relax, relaxed_lattice
 from panoptigon.transform import Functional, UnimodularMap, canonical_form, width_wrt
 
 
@@ -301,3 +309,52 @@ def obstruction_witnesses() -> dict[int, Polygon]:
     for g, poly in out.items():
         assert poly.genus == g and big_face_obstruction(poly).passes
     return out
+
+
+def grow(
+    max_points: Optional[int] = None, keep: Optional[Callable[[Polygon], bool]] = None
+) -> set[Polygon]:
+    """Canonical forms of the polygons grown from T_1, one lattice point at a time.
+
+    Growth lemma: every 2-dimensional lattice polygon Q with n + 1 >= 4
+    lattice points is conv(P, q) for a 2-dimensional P with n points and a
+    lattice point q of relax(P).  Take a vertex q of Q whose removal leaves
+    a 2-dimensional P (at most one vertex fails this).  If q lay two or more
+    lattice units beyond an edge of P it sees, the triangle of q and that
+    edge would hold another lattice point of Q outside P.
+
+    A step adds one lattice point q of relax(P) outside P.  Each candidate
+    comes from the box of relax(P)'s rational vertices and is tested against
+    the pushed-out planes a*x + b*y <= c + 1; q lies at most one lattice
+    unit beyond every edge, so the hull of P and q gains q alone (checked
+    by Pick's theorem, so no child is scanned).  A child is kept when it
+    has at most ``max_points`` lattice points and passes ``keep``.  So every
+    class up to ``max_points`` points is returned when ``keep`` is None, and
+    every class that shrinks to T_1 through polygons passing ``keep``
+    otherwise.
+    """
+    start = canonical_form(standard_triangle(1))
+    grown = {start}
+    stack = [start]
+    while stack:
+        poly = stack.pop()
+        if max_points is not None and len(poly.lattice_point_set) >= max_points:
+            continue
+        planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
+        xs, ys = zip(*relax(poly).vertices)
+        for q in product(
+            range(floor(min(xs)), ceil(max(xs)) + 1), range(floor(min(ys)), ceil(max(ys)) + 1)
+        ):
+            if q in poly.lattice_point_set or any(a * q[0] + b * q[1] > c for a, b, c in planes):
+                continue
+            child = Polygon(hull_insert(poly.vertices, q), poly.lattice_point_set | {q})
+            # Pick's theorem counts the hull's points: q came alone.
+            picked = (double_area(child) + boundary_point_count(child)) // 2 + 1
+            assert picked == len(child.lattice_point_set), (poly, q)
+            if keep is not None and not keep(child):
+                continue
+            canon = canonical_form(child)
+            if canon not in grown:
+                grown.add(canon)
+                stack.append(canon)
+    return grown

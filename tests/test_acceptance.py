@@ -11,8 +11,8 @@ from panoptigon.census import (
     big_face_obstruction,
     genus1_classes,
     genus1_lw2_classes,
-    maximal_lw3,
     maximal_lw3_count_formula,
+    maximal_polygons,
     relax_condition,
 )
 from panoptigon.classify import (
@@ -354,7 +354,7 @@ def test_criterion_11_maximal_lw3_vs_formula(capsys):
     deltas = []
     invariant_failures = []
     for g in range(4, 31):
-        polys = maximal_lw3(g)
+        polys = maximal_polygons(g, 3)
         formula = maximal_lw3_count_formula(g)
         if len(polys) != formula:
             deltas.append((g, len(polys), formula))

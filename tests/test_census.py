@@ -1,6 +1,5 @@
 import json
-from itertools import product
-from math import ceil, floor, gcd
+from math import gcd
 
 import pytest
 
@@ -12,17 +11,18 @@ from panoptigon.census import (
     big_face_obstruction,
     candidate_point_set,
     census_summary,
+    classes,
     convex_closed_sets,
     genus1_classes,
     genus1_lw2_classes,
-    maximal_lw3,
     maximal_lw3_count_formula,
-    maximal_lw4,
+    maximal_polygons,
     records_to_ndjson,
     relax_condition,
     sporadic_ld2,
 )
 from panoptigon.classify import (
+    hyperelliptic_count,
     hyperelliptic_polygon,
     is_hyperelliptic,
     is_panoptigon,
@@ -31,16 +31,15 @@ from panoptigon.classify import (
     valid_forms,
 )
 from panoptigon.core import Polygon, convex_hull, hull_insert
-from panoptigon.relaxation import is_maximal, relax, relaxed_lattice
+from panoptigon.relaxation import is_maximal, relaxed_lattice
 from panoptigon.transform import (
-    are_equivalent,
     canonical_form,
     has_lattice_segment,
     lattice_diameter,
     lattice_width,
 )
 
-from conftest import bbox_lattice_points, corollary_lw12_check, obstruction_witnesses
+from conftest import bbox_lattice_points, corollary_lw12_check, grow, obstruction_witnesses
 
 
 def test_candidate_frame_has_thirty_points():
@@ -230,38 +229,12 @@ def test_sporadic_diameter_classes():
 def _grow_short_panoptigons() -> set[Polygon]:
     """Classes of panoptigons with no lattice segment of length 3, grown from T_1.
 
-    A step adds one lattice point q of relax(P) outside P.  Each candidate
-    comes from the box of relax(P)'s rational vertices and is tested against
-    the pushed-out planes a*x + b*y <= c + 1; q lies at most one lattice
-    unit beyond every edge, so the hull of P and q gains q alone.  Every
-    such polygon shrinks to a unimodular triangle by dropping, one at a
-    time, a vertex other than a panoptigon point while staying
-    2-dimensional.  Both conditions survive each drop, and the dropped
-    vertex lies in relax of the rest (two units beyond an edge, it would
-    bring a second point along), so the growth reaches every class.
-    Independent of the container bound of ``sporadic_ld2``.
+    Every such polygon shrinks to a unimodular triangle by dropping, one at
+    a time, a vertex other than a panoptigon point while staying
+    2-dimensional.  Both conditions survive each drop, so ``grow`` reaches
+    every class.  Independent of the container bound of ``sporadic_ld2``.
     """
-    start = canonical_form(standard_triangle(1))
-    grown = {start}
-    stack = [start]
-    while stack:
-        poly = stack.pop()
-        planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
-        xs, ys = zip(*relax(poly).vertices)
-        for q in product(
-            range(floor(min(xs)), ceil(max(xs)) + 1), range(floor(min(ys)), ceil(max(ys)) + 1)
-        ):
-            if q in poly.lattice_point_set or any(a * q[0] + b * q[1] > c for a, b, c in planes):
-                continue
-            child = convex_hull(poly.vertices + (q,))
-            assert child.lattice_point_set == poly.lattice_point_set | {q}, (poly, q)
-            if has_lattice_segment(child, 3) or not is_panoptigon(child).is_panoptigon:
-                continue
-            canon = canonical_form(child)
-            if canon not in grown:
-                grown.add(canon)
-                stack.append(canon)
-    return grown
+    return grow(keep=lambda p: not has_lattice_segment(p, 3) and is_panoptigon(p).is_panoptigon)
 
 
 def test_sporadic_three_match_point_growth():
@@ -273,7 +246,8 @@ def test_sporadic_three_match_point_growth():
     assert wide == {r.canonical for r in sporadic_ld2(exhaustive=True)}
     for poly in wide:
         inner = poly.interior_polygon()
-        assert any(are_equivalent(inner, trapezoid(a, b)) for a, b in SPORADIC_CONTAINER_TRAPEZOIDS)
+        canon = canonical_form(inner)
+        assert any(canon == canonical_form(trapezoid(a, b)) for a, b in SPORADIC_CONTAINER_TRAPEZOIDS)
 
 
 def record_from_json(d: dict) -> CensusRecord:
@@ -322,37 +296,9 @@ def test_genus1_classes_cache_is_immutable():
     assert genus1_classes() == classes
 
 
-def _genus1_strip_oracle(width: int, height: int) -> set[Polygon]:
-    """Genus-1 classes among the convex-closed subsets of [0,width]x[0,height].
-
-    Grows single points one lattice point at a time, pruning hulls that leave
-    the box or have genus > 1; independent of the census enumerator.
-    """
-    box = frozenset((x, y) for x in range(width + 1) for y in range(height + 1))
-    visited = {frozenset({p}) for p in box}
-    stack = list(visited)
-    while stack:
-        state = stack.pop()
-        for p in box - state:
-            hull = convex_hull(state | {p})
-            nxt = hull.lattice_point_set
-            if nxt <= box and nxt not in visited and hull.genus <= 1:
-                visited.add(nxt)
-                stack.append(nxt)
-    polys = (convex_hull(s) for s in visited)
-    return {canonical_form(p) for p in polys if p.dimension == 2 and p.genus == 1}
-
-
-def test_genus1_classes_match_strip_oracle():
-    # The three maximal genus-1 polygons all fit in [0,4]x[0,3]; the 3x3 box
-    # misses conv((0,0),(4,0),(0,2)).
-    assert _genus1_strip_oracle(4, 3) == set(genus1_classes())
-    assert len(_genus1_strip_oracle(3, 3)) == 15
-
-
 def test_maximal_lw3_outputs():
     for g in (4, 5, 6):
-        polys = maximal_lw3(g)
+        polys = maximal_polygons(g, 3)
         for poly in polys:
             assert poly.genus == g
             assert lattice_width(poly)[0] == 3
@@ -362,8 +308,7 @@ def test_maximal_lw3_outputs():
 
 
 def test_maximal_lw3_contains_known_example():
-    target = relaxed_lattice(trapezoid(1, 2))
-    assert any(are_equivalent(p, target) for p in maximal_lw3(5))
+    assert canonical_form(relaxed_lattice(trapezoid(1, 2))) in maximal_polygons(5, 3)
 
 
 def test_maximal_lw3_formula_values():
@@ -387,14 +332,32 @@ def test_relax_condition_matches_direct_relaxation():
 
 def test_maximal_lw4_outputs():
     for g in (3, 4, 5):
-        polys = maximal_lw4(g)
+        polys = maximal_polygons(g, 4)
         for poly in polys:
             assert poly.genus == g
             assert lattice_width(poly)[0] == 4
             assert is_maximal(poly)
-    assert any(
-        are_equivalent(p, standard_triangle(4)) for p in maximal_lw4(3)
-    )
+    assert maximal_polygons(3, 4) == [canonical_form(standard_triangle(4))]
+
+
+def test_maximal_polygons_complete_by_growth():
+    # Every class up to 12 lattice points, grown from T_1.  A maximal polygon
+    # of genus g and width 3 or 4 is relax(Q) for its interior Q, which has
+    # g points, so it is the relaxation of a grown Q.  The oracle shares
+    # ``relaxed_lattice`` and ``lattice_width`` with the generator, not its
+    # lists of candidate interiors.
+    grown = grow(max_points=12)
+    assert len(grown) == 724
+    for g in range(3, 13):
+        relaxed = [relaxed_lattice(q) for q in grown if len(q.lattice_point_set) == g]
+        relaxed = [p for p in relaxed if p is not None and p.genus == g]
+        for width in (3, 4):
+            expected = classes(p for p in relaxed if lattice_width(p)[0] == width)
+            assert maximal_polygons(g, width) == expected, (g, width)
+    assert {p for p in grown if p.genus == 1} == set(genus1_classes())
+    # Genus 3 would need growth to 15 points.
+    genus2 = [p for p in grown if p.genus == 2 and lattice_width(p)[0] == 2]
+    assert len(genus2) == hyperelliptic_count(2)
 
 
 def test_corollary_bound():

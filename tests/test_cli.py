@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import signal
 from contextlib import contextmanager
@@ -487,3 +488,64 @@ def test_analyze_large_inputs(capsys):
         assert code == EXIT_OK
         form = json.loads(out)["hyperelliptic_form"]
         assert form == {"kind": "Type3", "g": 59, "i": 60, "j": 60, "k": 0}
+
+
+# SHA-256 of every file the census commands write, in ``sha256sum`` format.
+# The NDJSON and summary bytes are the behaviour contract of ``census``, so
+# a refactor leaves every digest as it is.
+CENSUS_DIGESTS = """\
+49adc289277a87a4bbfda4195f609c75a55d52df3567834fc4ab565c29647f60  full/census_full.ndjson
+c7567b10536d4a5396b7996d9a56ab2be9c62942d3709f99076a4645964446e3  full/census_full_summary.json
+e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855  maximal-lw3-3/census_maximal-lw3.ndjson
+683966640340ac32b6af2df3c1a16e02dfc1f7da6a59cc03129eb4fa8fd973e1  maximal-lw3-3/census_maximal-lw3_summary.json
+63adcc582d3ec98b09a93251446b1330513594c13eea7d6e80d632ea30dfc09a  maximal-lw3-4/census_maximal-lw3.ndjson
+08b2c4a399129ace6c2d5e860387b01172317a38af3b4d3b90b4d0774e7f5293  maximal-lw3-4/census_maximal-lw3_summary.json
+3f23796b455da3820b114f6aaaea6018b8696b3f5755ca348f8cba682560db59  maximal-lw3-5/census_maximal-lw3.ndjson
+e6a99d98269a8018998c83ce22209fbb81f83fd2ca837f8feca7ad21327f0536  maximal-lw3-5/census_maximal-lw3_summary.json
+436e04c7dd7931afd658b16845fd8b99e6d3a47cb2e58b2e067a6866b59fa1a0  maximal-lw3-6/census_maximal-lw3.ndjson
+89650b360f1da2652b06329f58f4084f087579d01961b33ecfa51999dcee64f7  maximal-lw3-6/census_maximal-lw3_summary.json
+cb7ecaede6289bea08e867458d8d23cf9ba1844031fbe57592bd490e8f118413  maximal-lw3-7/census_maximal-lw3.ndjson
+85fe53e78be255659a630fc6ef7afb361842daa62306e055e27ff533d8510a64  maximal-lw3-7/census_maximal-lw3_summary.json
+2ddf8660fb18a7b11bf166900874a4c000aad74976452d36eb89796708b7f744  maximal-lw3-8/census_maximal-lw3.ndjson
+67b346e64389b43dcaaef31c8d782755e07b98b53247ae26c1e001dd9f2ec085  maximal-lw3-8/census_maximal-lw3_summary.json
+269366e46da82b724f5c4d5d85d41c8efac2c2e88bf35e3a76a9437fbc1f74c4  maximal-lw3-9/census_maximal-lw3.ndjson
+c7f0c90be64d9f9c42dbca0358219a8a673a0bc3ad23912a593a9ee5b6557f62  maximal-lw3-9/census_maximal-lw3_summary.json
+24d6c09f0e65a0377cd3bf4d5b6db2446fe3061e1abe73e4fb207ca9e804dcc0  maximal-lw3-10/census_maximal-lw3.ndjson
+05301b814c423ccbdc582af3ed0a3e4982737d2ac07e7631a57dc3fc036d87f8  maximal-lw3-10/census_maximal-lw3_summary.json
+73b36a1d7197793ed0b9f958bc27f04f4426729cc348bb7a4a8bb3e841939454  maximal-lw3-11/census_maximal-lw3.ndjson
+3f6a0169f6a898f43bdec2dc09b0cbb147d9d94777c70ae8590bdd058656b2a4  maximal-lw3-11/census_maximal-lw3_summary.json
+f1ef9341aa2349c785ee8b99feef24d0a86b57655c0380f9549b8a0ec9aa916b  maximal-lw3-12/census_maximal-lw3.ndjson
+8b9c2ee7d1cc22991f9b53f324cb91fd12b4205255254005aec77407254b6805  maximal-lw3-12/census_maximal-lw3_summary.json
+def97a806249bc042eb58a99157632079f70f87ad7b812f95b94542b38035a4b  maximal-lw4-3/census_maximal-lw4.ndjson
+13825d7e2c5dd85b099fb60e3a4573d19cce5f031c42be2c945a8fad84a7dd0f  maximal-lw4-3/census_maximal-lw4_summary.json
+a82f61091799c9f117b7f5cb9246ef4ac2e6aadb96fe9b51d32a9a3e726f01ed  maximal-lw4-4/census_maximal-lw4.ndjson
+52629cf49a7c70b6ecc0ca1a078efb88c28b258b5e0f58ed014db43f8f05c30d  maximal-lw4-4/census_maximal-lw4_summary.json
+d0f8050cb913843ebe6926d3e6b4a602d4789dc22e6e1abb0b1aa992af2b93d0  maximal-lw4-5/census_maximal-lw4.ndjson
+69818524f057f8a84f6bee5120d1c93f0214571efb523451123ab7db74e625f3  maximal-lw4-5/census_maximal-lw4_summary.json
+6c978dbe9e5d54dbc5dde8f4ce4500733a2a8e564f980c920f92512ce630c18d  maximal-lw4-6/census_maximal-lw4.ndjson
+6c772e6fdf75a47fe2609d3dced5fea6b23a3bfdfb4f86dffbc906eebcd314d8  maximal-lw4-6/census_maximal-lw4_summary.json
+adb5cfdb6f31b22f30ca2db625360a03ddc0231aa96ad2079f03a628e4041d0f  maximal-lw4-7/census_maximal-lw4.ndjson
+d37b57a369c9234ac9b33b028288de056c76c9347350e05fda60125e1fcc69fd  maximal-lw4-7/census_maximal-lw4_summary.json
+c8b7d34ceaf5f08245a61d13dc3ae9e07250aa1094f8bc1f9afaef8df9d6706c  maximal-lw4-8/census_maximal-lw4.ndjson
+23779c6ea7afa77853639f2e516d7e92cca0ff2b1d0017807ba51d260a8b944d  maximal-lw4-8/census_maximal-lw4_summary.json
+f2f9649629070cade9954d40ef253f1d1a0a766285baaf77d7095aea1614d318  maximal-lw4-9/census_maximal-lw4.ndjson
+78c2d9130489a19ce5a8ad4cfedad693ee62b04b2d0b8b9014e381772cf875d5  maximal-lw4-9/census_maximal-lw4_summary.json
+b4e4afbbbaf1ed98c82e2b018f096e8707e221b87f7b51441a3f81b2ec933a6d  maximal-lw4-10/census_maximal-lw4.ndjson
+302dd2237dd9f0302f65e60fcbd7df14af5376f2c6c4364447e1181082773786  maximal-lw4-10/census_maximal-lw4_summary.json
+"""
+
+
+def test_census_output_bytes_are_pinned(tmp_path, capsys):
+    runs = [("full", None)]
+    runs += [("maximal-lw3", g) for g in range(3, 13)]
+    runs += [("maximal-lw4", g) for g in range(3, 11)]
+    lines = []
+    for kind, genus in runs:
+        label = kind if genus is None else "%s-%d" % (kind, genus)
+        argv = ["census", kind, "--out", str(tmp_path / label)]
+        assert main(argv if genus is None else argv + ["--genus", str(genus)]) == EXIT_OK
+        for path in sorted((tmp_path / label).iterdir()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append("%s  %s/%s\n" % (digest, label, path.name))
+    capsys.readouterr()
+    assert "".join(lines) == CENSUS_DIGESTS

@@ -6,7 +6,6 @@ from panoptigon.core import convex_hull
 from panoptigon.transform import (
     Functional,
     UnimodularMap,
-    are_equivalent,
     canonical_form,
     has_lattice_segment,
     lattice_diameter,
@@ -148,9 +147,10 @@ def test_canonical_form_rejects_degenerate():
 def test_are_equivalent():
     t3 = convex_hull([(0, 0), (3, 0), (0, 3)])
     sheared = convex_hull([(0, 0), (3, 3), (-3, 0)])  # x -> x+y, y -> -x image
-    assert are_equivalent(t3, UnimodularMap(((1, 1), (0, 1)))(t3))
+    assert canonical_form(t3) == canonical_form(UnimodularMap(((1, 1), (0, 1)))(t3))
+    assert canonical_form(t3) == canonical_form(sheared)
     square = convex_hull([(0, 0), (3, 0), (3, 3), (0, 3)])
-    assert not are_equivalent(t3, square)
+    assert canonical_form(t3) != canonical_form(square)
 
 
 def test_width_wrt():
