@@ -9,7 +9,7 @@ from .transform import (
     lattice_diameter,
     lattice_width,
 )
-from .relaxation import RationalPolygon, is_maximal, relax, relaxed_lattice
+from .relaxation import is_maximal, relax, relaxed_lattice
 from .classify import (
     HyperellipticForm,
     PanoptigonReport,
@@ -48,7 +48,6 @@ __all__ = [
     "has_lattice_segment",
     "lattice_diameter",
     "lattice_width",
-    "RationalPolygon",
     "is_maximal",
     "relax",
     "relaxed_lattice",

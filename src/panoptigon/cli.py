@@ -32,10 +32,10 @@ from .formats import (
     parse_polygon_text,
     polygon_to_json,
     polygon_to_text,
-    rational_polygon_to_json,
+    relaxed_to_json,
     resolve_polygon_source,
 )
-from .relaxation import RationalPolygon, is_maximal, relax
+from .relaxation import is_maximal, relax
 from .render import RenderError, render_svg
 from .transform import Functional, canonical_form, lattice_diameter, lattice_width
 
@@ -66,7 +66,7 @@ def analyze_polygon(poly: Polygon) -> list[tuple[str, Optional[str], object]]:
     hyp = is_hyperelliptic(poly) if plane else None
     form = hyperelliptic_normal_form(poly) if hyp and poly.genus >= 2 and lw == 2 else None
     report = is_panoptigon(poly) if plane else None
-    relaxed = relax(poly) if plane else None
+    scaled, d = relax(poly) if plane else (None, None)
     verdict = big_face_obstruction(poly) if plane and poly.genus >= 2 else None
     return [
         ("polygon", "polygon", poly),
@@ -84,12 +84,8 @@ def analyze_polygon(poly: Polygon) -> list[tuple[str, Optional[str], object]]:
             () if report is None else tuple(sorted(report.panoptigon_points)),
         ),
         ("interior_polygon", "interior polygon", poly.interior_polygon() if plane else None),
-        ("relaxed", None, relaxed),
-        (
-            "relaxation_lattice",
-            "relaxation lattice",
-            None if relaxed is None else relaxed.is_lattice,
-        ),
+        ("relaxed", None, relaxed_to_json(scaled, d) if plane else None),
+        ("relaxation_lattice", "relaxation lattice", d == 1 if plane else None),
         ("maximal", "maximal", is_maximal(poly) if plane and poly.genus >= 1 else None),
         ("canonical", "canonical form", canonical_form(poly) if plane else None),
         ("big_face_passes", None, None if verdict is None else verdict.passes),
@@ -100,8 +96,6 @@ def analyze_polygon(poly: Polygon) -> list[tuple[str, Optional[str], object]]:
 def _json_value(value):
     if isinstance(value, Polygon):
         return polygon_to_json(value)
-    if isinstance(value, RationalPolygon):
-        return rational_polygon_to_json(value)
     if isinstance(value, HyperellipticForm):
         return hyperelliptic_form_to_json(value)
     if isinstance(value, tuple):  # of Functionals or of points

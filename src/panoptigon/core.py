@@ -197,9 +197,8 @@ def segment_ends(seg: Polygon) -> tuple[Point, Point]:
 def hull_vertices(points: Iterable) -> tuple:
     """Monotone-chain hull vertices, strictly CCW, lowest-then-leftmost first.
 
-    Coordinates may be ints or ``Fraction``s.  Collinear points are dropped;
-    a collinear input yields its two ends, a single point itself, and an
-    empty input the empty tuple.
+    Collinear points are dropped; a collinear input yields its two ends, a
+    single point itself, and an empty input the empty tuple.
     """
     pts = sorted(set(points))
     if len(pts) <= 1:

@@ -7,11 +7,11 @@ serialization can be read back (the tests hold the readers).
 
 from __future__ import annotations
 
+from math import gcd
 from pathlib import Path
 
 from .classify import HyperellipticForm
 from .core import Point, Polygon, convex_hull
-from .relaxation import RationalPolygon
 from .transform import UnimodularMap
 
 
@@ -61,10 +61,19 @@ def unimodular_map_to_json(m: UnimodularMap) -> dict:
     return {"matrix": [[a, b], [c, d]], "translation": list(m.translation)}
 
 
-def rational_polygon_to_json(poly: RationalPolygon) -> dict:
+def relaxed_to_json(scaled: Polygon, d: int) -> dict:
+    """relax(P), given as ``relax`` returns it (D * relax(P), D).
+
+    Each coordinate n/D is written reduced, as "n" or "n/d".
+    """
+
+    def ratio(n: int) -> str:
+        g = gcd(n, d)
+        return "%d" % (n // g) if g == d else "%d/%d" % (n // g, d // g)
+
     return {
-        "vertices": [[str(x), str(y)] for x, y in poly.vertices],
-        "is_lattice": poly.is_lattice,
+        "vertices": [[ratio(x), ratio(y)] for x, y in scaled.vertices],
+        "is_lattice": d == 1,
     }
 
 

@@ -1,22 +1,21 @@
 """The relaxed polygon, and maximality among polygons with the same interior.
 
 Relaxing a polygon pushes every edge's half-plane out by one lattice unit
-(c -> c + 1 with a primitive normal).  The result can fail to be a lattice
-polygon, and edges can collapse; its vertices are exact rationals, so
-``is_lattice`` decides the first exactly.
+(c -> c + 1 with a primitive normal).  Edges can collapse, and the result
+can fail to be a lattice polygon.  Its vertices are rationals with a common
+denominator D, so ``relax`` returns the lattice polygon D * relax(P) with
+the least such D: the arithmetic stays in integers, and D == 1 says exactly
+when relax(P) is a lattice polygon.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .core import Polygon, convex_hull, lowest_first, segment_ends
 from .transform import canonical_form
-
-RationalPoint = tuple[Fraction, Fraction]
 
 # Every genus-1 lattice polygon is equivalent to a subpolygon of one of
 # these three (Poonen & Rodriguez-Villegas, "Lattice polygons and the
@@ -31,29 +30,18 @@ _GENUS1_MAXIMAL_FORMS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RationalPolygon:
-    """Convex polygon with exact rational vertices in CCW order."""
+def relax(poly: Polygon) -> tuple[Polygon, int]:
+    """D * relax(P) as a lattice polygon, and the least D >= 1 that makes it one.
 
-    vertices: tuple[RationalPoint, ...]
-
-    @property
-    def is_lattice(self) -> bool:
-        return all(x.denominator == 1 and y.denominator == 1 for x, y in self.vertices)
-
-    def nonlattice_vertices(self) -> list[RationalPoint]:
-        return [v for v in self.vertices if v[0].denominator != 1 or v[1].denominator != 1]
-
-
-def _relaxed_corners(poly: Polygon) -> list[tuple[int, int, int]]:
-    """The vertices (X/det, Y/det) of relax(P) as integer triples, det > 0, in CCW order.
-
-    ``halfplanes`` come in CCW normal order, so one pass intersects the
-    pushed-out planes.  While the meeting point of the two planes at either
-    end of the deque is not strictly inside the new plane
-    (a*X + b*Y >= c*det), the plane at that end has collapsed and is
-    dropped; the same test against the other end then clears the
-    wrap-around.  Consecutive survivors turn by less than pi, so det > 0.
+    relax(P) is the intersection of all edge half-planes pushed out by one
+    unit.  ``halfplanes`` come in CCW normal order, so one pass intersects
+    them.  While the meeting point of the two planes at either end of the
+    deque is not strictly inside the new plane (a*X + b*Y >= c*det), the
+    plane at that end has collapsed (its line meets the result in at most a
+    point) and is dropped; the same test against the other end then clears
+    the wrap-around.  Consecutive survivors turn by less than pi, so each
+    vertex (X/det, Y/det) has det > 0.  Its least denominator is
+    det / gcd(X, Y, det), and D is the lcm of these.
     """
     if poly.dimension != 2:
         raise ValueError("relaxation requires dimension 2")
@@ -79,26 +67,15 @@ def _relaxed_corners(poly: Polygon) -> list[tuple[int, int, int]]:
     while len(planes) >= 3 and outside(planes[0], planes[1], planes[-1]):
         planes.popleft()
     cycle = list(planes)
-    return [meet(p, q) for p, q in zip(cycle, cycle[1:] + cycle[:1])]
-
-
-def relax(poly: Polygon) -> RationalPolygon:
-    """Intersection of all edge half-planes pushed out by one unit.
-
-    Vertices are exact rationals, one per pair of consecutive surviving
-    planes.  An edge whose pushed-out line meets the result in at most a
-    point has collapsed and contributes no vertex.
-    """
-    corners = _relaxed_corners(poly)
-    return RationalPolygon(lowest_first([(Fraction(x, d), Fraction(y, d)) for x, y, d in corners]))
+    corners = [meet(p, q) for p, q in zip(cycle, cycle[1:] + cycle[:1])]
+    d = lcm(*(det // gcd(x, y, det) for x, y, det in corners))
+    return Polygon(lowest_first([(x * d // det, y * d // det) for x, y, det in corners])), d
 
 
 def relaxed_lattice(poly: Polygon) -> Optional[Polygon]:
     """relax(P) as a lattice Polygon, or None when a vertex is not integral."""
-    corners = _relaxed_corners(poly)
-    if any(x % d or y % d for x, y, d in corners):
-        return None
-    return Polygon(lowest_first([(x // d, y // d) for x, y, d in corners]))
+    scaled, d = relax(poly)
+    return scaled if d == 1 else None
 
 
 def is_maximal(poly: Polygon) -> bool:

@@ -8,9 +8,6 @@ non-integral relaxation vertices are marked with squares.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .classify import is_panoptigon
 from .core import Polygon
 from .relaxation import relax
@@ -32,28 +29,24 @@ def render_svg(poly: Polygon, relaxed: bool = False) -> str:
         raise RenderError("cannot render dimension < 2")
 
     xmin, ymin, xmax, ymax = poly.bounding_box()
-    overlay = relax(poly) if relaxed else None
+    # The overlay is D * relax(P); its vertex (x, y) stands for (x/D, y/D).
+    overlay, d = relax(poly) if relaxed else (None, 1)
     if overlay is not None:
         for x, y in overlay.vertices:
-            xmin, xmax = min(xmin, x), max(xmax, x)
-            ymin, ymax = min(ymin, y), max(ymax, y)
-    xmin, ymin = math.floor(xmin) - MARGIN, math.floor(ymin) - MARGIN
-    xmax, ymax = math.ceil(xmax) + MARGIN, math.ceil(ymax) + MARGIN
+            xmin, xmax = min(xmin, x // d), max(xmax, -(-x // d))
+            ymin, ymax = min(ymin, y // d), max(ymax, -(-y // d))
+    xmin, ymin = xmin - MARGIN, ymin - MARGIN
+    xmax, ymax = xmax + MARGIN, ymax + MARGIN
 
     width = (xmax - xmin) * SCALE
     height = (ymax - ymin) * SCALE
 
-    def px(x) -> str:
-        return _fmt_px((x - xmin) * SCALE)
+    def px(x: int, d: int = 1, shift: int = 0) -> str:
+        return _fmt_px((x - xmin * d) * SCALE + shift * d, d)
 
-    def py(y) -> str:
+    def py(y: int, d: int = 1, shift: int = 0) -> str:
         # SVG y grows downward; lattice y grows upward.
-        return _fmt_px((ymax - y) * SCALE)
-
-    def _fmt_px(v) -> str:
-        if isinstance(v, Fraction) and v.denominator != 1:
-            return "%.2f" % float(v)
-        return "%d" % int(v)
+        return _fmt_px((ymax * d - y) * SCALE + shift * d, d)
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -90,19 +83,18 @@ def render_svg(poly: Polygon, relaxed: bool = False) -> str:
         )
 
     if overlay is not None:
-        dashed = " ".join("%s,%s" % (px(x), py(y)) for x, y in overlay.vertices)
+        dashed = " ".join("%s,%s" % (px(x, d), py(y, d)) for x, y in overlay.vertices)
         lines.append(
             '<polygon points="%s" fill="none" stroke="#606060" '
             'stroke-width="2" stroke-dasharray="6,4"/>' % dashed
         )
-        for x, y in overlay.nonlattice_vertices():
-            cx, cy = (x - xmin) * SCALE, (ymax - y) * SCALE
+        for x, y in [(x, y) for x, y in overlay.vertices if x % d or y % d]:
             lines.append(
                 '<rect x="%s" y="%s" width="%d" height="%d" fill="none" '
                 'stroke="black" stroke-width="2"/>'
                 % (
-                    _fmt_px(cx - SQUARE_HALF),
-                    _fmt_px(cy - SQUARE_HALF),
+                    px(x, d, -SQUARE_HALF),
+                    py(y, d, -SQUARE_HALF),
                     2 * SQUARE_HALF,
                     2 * SQUARE_HALF,
                 )
@@ -110,3 +102,10 @@ def render_svg(poly: Polygon, relaxed: bool = False) -> str:
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def _fmt_px(num: int, den: int) -> str:
+    """The pixel coordinate num/den: whole, or to two decimals."""
+    if num % den:
+        return "%.2f" % (num / den)
+    return "%d" % (num // den)

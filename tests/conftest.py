@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 import pytest
@@ -32,7 +32,7 @@ from panoptigon.core import (
     is_visible,
     orientation,
 )
-from panoptigon.relaxation import RationalPolygon, relax, relaxed_lattice
+from panoptigon.relaxation import relax, relaxed_lattice
 from panoptigon.transform import Functional, UnimodularMap, canonical_form, width_wrt
 
 
@@ -88,9 +88,10 @@ def random_polygon_2d(rng: random.Random, span: int = 6, points: int = 6) -> Pol
             return poly
 
 
-def pairwise_relax(poly: Polygon) -> RationalPolygon:
-    """Relaxation oracle: hull of every pairwise meeting point of the
-    pushed-out lines that satisfies all pushed-out half-planes.
+def pairwise_relax(poly: Polygon) -> tuple:
+    """Relaxation oracle: vertices, as ``Fraction`` pairs, of the hull of every
+    pairwise meeting point of the pushed-out lines that satisfies all
+    pushed-out half-planes.
 
     Each meeting point (X/det, Y/det) is tested in integers with det > 0:
     it satisfies a*x + b*y <= c iff a*X + b*Y <= c*det.
@@ -106,7 +107,7 @@ def pairwise_relax(poly: Polygon) -> RationalPolygon:
             det, x, y = -det, -x, -y
         if all(a * x + b * y <= c * det for a, b, c in planes):
             pts.add((Fraction(x, det), Fraction(y, det)))
-    return RationalPolygon(hull_vertices(pts))
+    return hull_vertices(pts)
 
 
 def _compose(m1, m2):
@@ -324,7 +325,8 @@ def grow(
     edge would hold another lattice point of Q outside P.
 
     A step adds one lattice point q of relax(P) outside P.  Each candidate
-    comes from the box of relax(P)'s rational vertices and is tested against
+    comes from the box of relax(P)'s rational vertices (read off the lattice
+    polygon D * relax(P) by floor and ceiling division) and is tested against
     the pushed-out planes a*x + b*y <= c + 1; q lies at most one lattice
     unit beyond every edge, so the hull of P and q gains q alone (checked
     by Pick's theorem, so no child is scanned).  A child is kept when it
@@ -341,9 +343,10 @@ def grow(
         if max_points is not None and len(poly.lattice_point_set) >= max_points:
             continue
         planes = [(a, b, c + 1) for a, b, c in poly.halfplanes()]
-        xs, ys = zip(*relax(poly).vertices)
+        scaled, d = relax(poly)
+        xs, ys = zip(*scaled.vertices)
         for q in product(
-            range(floor(min(xs)), ceil(max(xs)) + 1), range(floor(min(ys)), ceil(max(ys)) + 1)
+            range(min(xs) // d, -(-max(xs) // d) + 1), range(min(ys) // d, -(-max(ys) // d) + 1)
         ):
             if q in poly.lattice_point_set or any(a * q[0] + b * q[1] > c for a, b, c in planes):
                 continue

@@ -161,8 +161,8 @@ def test_criterion_03_big_records_nonlattice_relaxation(census, capsys):
     witnessed = 0
     for r in big:
         if relaxed_lattice(r.canonical) is None:
-            x, y = relax(r.canonical).nonlattice_vertices()[0]
-            if x.denominator > 1 or y.denominator > 1:
+            scaled, d = relax(r.canonical)
+            if any(x % d or y % d for x, y in scaled.vertices):
                 witnessed += 1
     ok = len(big) == 23 and witnessed == 23
     emit(

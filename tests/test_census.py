@@ -6,6 +6,7 @@ import pytest
 from panoptigon import census as census_module
 from panoptigon.census import (
     FIXED_POINTS,
+    GENUS_BOUND_CENSUS,
     SPORADIC_CONTAINER_TRAPEZOIDS,
     CensusRecord,
     big_face_obstruction,
@@ -248,6 +249,23 @@ def test_sporadic_three_match_point_growth():
         inner = poly.interior_polygon()
         canon = canonical_form(inner)
         assert any(canon == canonical_form(trapezoid(a, b)) for a, b in SPORADIC_CONTAINER_TRAPEZOIDS)
+
+
+def test_panoptigon_growth_finds_the_census(raw_polygons):
+    # Every panoptigon shrinks to T_1 through panoptigons: drop a vertex
+    # other than its panoptigon point while staying 2-dimensional, and the
+    # point still sees every lattice point left.  So growth through
+    # panoptigons reaches every class up to 30 points, with neither the
+    # 30-point frame nor the sporadic containers: it checks the frame walk
+    # and the three known sporadic classes independently.
+    grown = grow(max_points=30, keep=lambda p: is_panoptigon(p).is_panoptigon)
+    assert len(grown) == 944
+    wide = {p for p in grown if lattice_width(p)[0] >= 3}
+    sporadic = {r.canonical for r in sporadic_ld2(exhaustive=False)}
+    assert wide == set(classes(raw_polygons)) | sporadic
+    assert len(wide) == 71
+    lattice = [len(p.lattice_point_set) for p in grown if relaxed_lattice(p) is not None]
+    assert max(lattice) == GENUS_BOUND_CENSUS
 
 
 def record_from_json(d: dict) -> CensusRecord:

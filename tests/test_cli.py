@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import random
 import signal
 from contextlib import contextmanager
 
@@ -18,9 +19,11 @@ from panoptigon.cli import (
 )
 from panoptigon.classify import is_panoptigon
 from panoptigon.core import convex_hull
-from panoptigon.formats import parse_polygon_text, polygon_to_text
+from panoptigon.formats import parse_polygon_text, polygon_to_text, relaxed_to_json
 from panoptigon.relaxation import relax
 from panoptigon.transform import canonical_form, lattice_diameter, lattice_width
+
+from conftest import random_polygon_2d, random_sheared_polygon
 
 
 def run(args, capsys):
@@ -457,7 +460,8 @@ def test_analyze_polygon_fields_recomputable():
     assert (report["lattice_diameter"], set(report["diameter_directions"])) == (ld, set(ld_dirs))
     assert report["panoptigon_points"] == tuple(sorted(is_panoptigon(poly).panoptigon_points))
     assert report["interior_polygon"] == poly.interior_polygon()
-    assert report["relaxed"] == relax(poly)
+    assert report["relaxed"] == relaxed_to_json(*relax(poly))
+    assert report["relaxation_lattice"] is (relax(poly)[1] == 1)
     assert report["canonical"] == canonical_form(poly)
 
 
@@ -549,3 +553,47 @@ def test_census_output_bytes_are_pinned(tmp_path, capsys):
             lines.append("%s  %s/%s\n" % (digest, label, path.name))
     capsys.readouterr()
     assert "".join(lines) == CENSUS_DIGESTS
+
+
+# SHA-256 of the exit codes, ``analyze`` output and ``render`` SVG files over
+# the inputs of ``_guarded_inputs``.  These bytes are the behaviour contract
+# of ``analyze`` and ``render``, so a refactor leaves both digests as they are.
+ANALYZE_DIGEST = "9bdf6365189ddd2f3b1801f5158b796b768a572e0b140115ad04844bf2d9fb6c"
+RENDER_DIGEST = "56a6775913545337cb924c60cc0ecaa3e10b105028ae3a4277cce2c507fce864"
+
+
+def _guarded_inputs(census):
+    """(analyze inputs, render inputs) as polygon texts.
+
+    The 71 width-3+ census forms, 60 random polygons, 20 two-dimensional
+    sheared ones (``analyze`` only: ``render`` draws their whole bounding
+    box) and a quadrilateral whose relaxation loses an edge.
+    """
+    forms = [polygon_to_text(r.canonical) for r in census[1]]
+    rng = random.Random(2601)
+    randoms = [polygon_to_text(random_polygon_2d(rng)) for _ in range(60)]
+    rng = random.Random(2602)
+    sheared = []
+    while len(sheared) < 20:
+        poly = random_sheared_polygon(rng)
+        if poly.dimension == 2:
+            sheared.append(polygon_to_text(poly))
+    return forms + randoms + sheared + ["0,0 1,0 5,1 1,2"], forms + randoms[:20]
+
+
+def test_analyze_and_render_bytes_are_pinned(census, tmp_path, capsys):
+    analyzed, rendered = _guarded_inputs(census)
+    assert (len(analyzed), len(rendered)) == (152, 91)
+    digest = hashlib.sha256()
+    for text in analyzed:
+        for extra in ([], ["--table"]):
+            code, out, err = run(["analyze", text] + extra, capsys)
+            digest.update(b"%d\n%s%s" % (code, out.encode(), err.encode()))
+    analyze_digest = digest.hexdigest()
+    digest = hashlib.sha256()
+    svg = tmp_path / "p.svg"
+    for text in rendered:
+        for extra in ([], ["--relaxed"]):
+            code, _, err = run(["render", text, "--svg", str(svg)] + extra, capsys)
+            digest.update(b"%d\n%s%s" % (code, err.encode(), svg.read_bytes()))
+    assert (analyze_digest, digest.hexdigest()) == (ANALYZE_DIGEST, RENDER_DIGEST)

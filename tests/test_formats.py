@@ -10,10 +10,9 @@ from panoptigon.formats import (
     parse_polygon_text,
     polygon_to_json,
     polygon_to_text,
-    rational_polygon_to_json,
+    relaxed_to_json,
     unimodular_map_to_json,
 )
-from panoptigon.relaxation import RationalPolygon
 from panoptigon.transform import UnimodularMap
 
 
@@ -30,10 +29,8 @@ def unimodular_map_from_json(data: dict) -> UnimodularMap:
     return UnimodularMap(((a, b), (c, d)), (tx, ty))
 
 
-def rational_polygon_from_json(data: dict) -> RationalPolygon:
-    return RationalPolygon(
-        tuple((Fraction(x), Fraction(y)) for x, y in data["vertices"])
-    )
+def rational_vertices_from_json(data: dict) -> tuple:
+    return tuple((Fraction(x), Fraction(y)) for x, y in data["vertices"])
 
 
 def hyperelliptic_form_from_json(data: dict) -> HyperellipticForm:
@@ -80,13 +77,19 @@ def test_unimodular_map_json_roundtrip():
 
 
 def test_rational_polygon_json():
-    poly = RationalPolygon(
-        ((Fraction(-1), Fraction(-1)), (Fraction(5, 2), Fraction(0)))
-    )
-    data = rational_polygon_to_json(poly)
+    # relax(P) with vertices (-1, -1), (5/2, 0), (-3/4, 1/2), given as D = 4
+    # times itself; each coordinate is written reduced.
+    scaled = convex_hull([(-4, -4), (10, 0), (-3, 2)])
+    data = relaxed_to_json(scaled, 4)
     assert data["is_lattice"] is False
-    assert data["vertices"][1] == ["5/2", "0"]
-    assert rational_polygon_from_json(data).vertices == poly.vertices
+    assert data["vertices"] == [["-1", "-1"], ["5/2", "0"], ["-3/4", "1/2"]]
+    assert rational_vertices_from_json(data) == tuple(
+        (Fraction(x, 4), Fraction(y, 4)) for x, y in scaled.vertices
+    )
+    assert relaxed_to_json(scaled, 1) == {
+        "vertices": [["-4", "-4"], ["10", "0"], ["-3", "2"]],
+        "is_lattice": True,
+    }
 
 
 def test_hyperelliptic_form_json():

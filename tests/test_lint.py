@@ -124,3 +124,23 @@ def test_every_src_definition_is_read():
         for path in sorted((ROOT / folder).rglob("*.py"))
     ]
     assert unreferenced_definitions(defining, others) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports, relative imports skipped."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_src_uses_integer_arithmetic_only():
+    """No module of the package imports ``fractions`` or ``decimal``: exact values stay integers."""
+    found = {
+        path.name: sorted(imported_modules(path.read_text()) & {"fractions", "decimal"})
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: mods for name, mods in found.items() if mods} == {}

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,9 +20,22 @@ from conftest import (
 )
 
 
-def rational_contains(relaxed, p) -> bool:
-    """p lies on or left of every CCW edge of the rational polygon."""
-    vs = relaxed.vertices
+def relaxed_fractions(scaled, d) -> tuple:
+    """relax(P)'s vertices as ``Fraction`` pairs, from ``relax``'s (D * relax(P), D)."""
+    return tuple((Fraction(x, d), Fraction(y, d)) for x, y in scaled.vertices)
+
+
+def assert_matches_oracle(poly) -> tuple:
+    """relax(P) has the oracle's exact vertices, and D is the lcm of their denominators."""
+    expected = pairwise_relax(poly)
+    scaled, d = relax(poly)
+    assert relaxed_fractions(scaled, d) == expected, poly
+    assert d == lcm(*(c.denominator for v in expected for c in v)), poly
+    return expected
+
+
+def rational_contains(vs, p) -> bool:
+    """p lies on or left of every CCW edge of the polygon with rational vertices vs."""
     for i, (ax, ay) in enumerate(vs):
         bx, by = vs[(i + 1) % len(vs)]
         if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) < 0:
@@ -30,26 +45,26 @@ def rational_contains(relaxed, p) -> bool:
 
 def collapsed_edges(poly):
     """Pushed-out (a, b, c + 1) of P's half-planes meeting relax(P) in at most one vertex."""
-    verts = relax(poly).vertices
+    scaled, d = relax(poly)
     return [
         (a, b, c + 1)
         for a, b, c in poly.halfplanes()
-        if sum(a * x + b * y == c + 1 for x, y in verts) < 2
+        if sum(a * x + b * y == (c + 1) * d for x, y in scaled.vertices) < 2
     ]
 
 
 def test_relax_standard_triangle():
-    assert relax(standard_triangle(1)).is_lattice
+    assert relax(standard_triangle(1)) == (convex_hull([(-1, -1), (3, -1), (-1, 3)]), 1)
     assert relaxed_lattice(standard_triangle(1)) == convex_hull([(-1, -1), (3, -1), (-1, 3)])
 
 
 def test_relaxed_lattice_failure_carries_witness():
     assert relaxed_lattice(trapezoid(0, 3)) is None
-    relaxed = relax(trapezoid(0, 3))
-    witness = relaxed.nonlattice_vertices()[0]
-    x, y = witness
-    assert x.denominator > 1 or y.denominator > 1
-    assert rational_contains(relaxed, witness)
+    scaled, d = relax(trapezoid(0, 3))
+    x, y = next((x, y) for x, y in scaled.vertices if x % d or y % d)
+    witness = (Fraction(x, d), Fraction(y, d))
+    assert witness[0].denominator > 1 or witness[1].denominator > 1
+    assert rational_contains(relaxed_fractions(scaled, d), witness)
 
 
 def test_trapezoid_relaxation_family():
@@ -89,11 +104,11 @@ def test_trapezoid_relaxation_family():
 def test_relax_matches_pairwise_oracle_on_known_cases(poly):
     # Collapsing edges (the first four), a nonlattice relaxation, T_1, and a
     # needle with 3 lattice points.
-    assert relax(poly).vertices == pairwise_relax(poly).vertices
+    assert_matches_oracle(poly)
 
 
 def test_relax_matches_pairwise_oracle_on_random_polygons():
-    """Exact vertex tuples, on small, wide and sheared polygons; some edge collapses in many."""
+    """Exact vertex tuples and D, on small, wide and sheared polygons; some edge collapses in many."""
     rng = random.Random(1212)
     makers = (
         lambda: random_polygon_2d(rng),
@@ -106,12 +121,12 @@ def test_relax_matches_pairwise_oracle_on_random_polygons():
         poly = makers[checked % 4]()
         if poly.dimension != 2:
             continue
-        expected = pairwise_relax(poly)
-        assert relax(poly).vertices == expected.vertices, poly
+        expected = assert_matches_oracle(poly)
         lattice = relaxed_lattice(poly)
-        assert (lattice is not None) == expected.is_lattice, poly
+        integral = all(c.denominator == 1 for v in expected for c in v)
+        assert (lattice is not None) == integral, poly
         assert lattice is None or lattice.vertices == tuple(
-            (int(x), int(y)) for x, y in expected.vertices
+            (int(x), int(y)) for x, y in expected
         ), poly
         checked += 1
         collapsing += bool(collapsed_edges(poly))
@@ -123,7 +138,7 @@ def test_collapsed_edges_recorded():
     # the bottom edge, which therefore disappears from the relaxation.
     poly = convex_hull([(0, 0), (1, 0), (5, 1), (1, 2)])
     assert collapsed_edges(poly)
-    assert not relax(poly).is_lattice
+    assert relax(poly)[1] > 1
 
 
 def test_is_maximal():
