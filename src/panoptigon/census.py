@@ -1,5 +1,6 @@
-"""Exhaustive computations: the 30-point census, sporadic searches, and
-the maximal polygons of lattice width 3 and 4.
+"""Exhaustive computations: the 30-point census and the sporadic search
+(the two walks of ``convex_closed_sets``), the genus-1 classes (T_3 and the
+width-2 forms of genus 1), and the maximal polygons of width 3 and 4.
 
 ``classes`` is the one route from polygons to classes: every generator
 returns canonical forms, each class once.  The headline numbers the suite
@@ -25,11 +26,12 @@ from .classify import (
     hyperelliptic_polygon,
     is_hyperelliptic,
     is_panoptigon,
+    standard_triangle,
     trapezoid,
     valid_forms,
 )
 from .core import Point, Polygon, convex_hull, hull_insert, is_visible
-from .relaxation import GENUS1_MAXIMAL_VERTICES, relaxed_lattice
+from .relaxation import relaxed_lattice
 from .transform import canonical_form, has_lattice_segment, lattice_diameter, lattice_width
 
 FIXED_POINTS = frozenset({(0, 0), (-1, -1), (0, -1), (1, -1), (2, -1)})
@@ -77,18 +79,18 @@ def candidate_point_set() -> frozenset[Point]:
 
 def convex_closed_sets(
     universe: frozenset[Point],
-    seeds: Iterable[Polygon],
+    seed: Polygon,
     keep: Optional[Callable[[Polygon], bool]] = None,
 ) -> set[Polygon]:
-    """All convex-closed supersets (within the universe) of the seed polygons.
+    """All convex-closed supersets (within the universe) of the seed polygon.
 
     Contract:
 
-    - Each seed's lattice points lie in the universe, so each seed is a
-      convex-closed set of it.  Seeds are returned without a ``keep`` test.
+    - The seed is 2-dimensional (else ``ValueError``) and lies in the
+      universe, which it is convex-closed in; it is not tested by ``keep``.
     - ``keep`` is deterministic and hereditary: if it holds on a polygon, it
       holds on every convex-closed subset of it that contains the seed.
-      Then every convex-closed set of the universe that contains a seed
+      Then every convex-closed set of the universe that contains the seed
       and passes ``keep`` is returned.
     - A state is the ``Polygon`` of its lattice points, keyed by its hull
       vertices (a convex-closed set is fixed by them).  It grows by one
@@ -118,11 +120,12 @@ def convex_closed_sets(
       masks is the set of universe points in the hull.
     - By Pick's theorem the hull holds (2A + B)/2 + 1 lattice points, with
       B the sum of the edge gcds.  The universe points in the hull number
-      exactly that count iff the hull does not escape the universe.  A
-      segment is checked point by point (it holds gcd + 1 of them).
+      exactly that count iff the hull does not escape the universe.
     - An accepted state's ``lattice_point_set`` is read off its mask, so a
       ``keep`` that reads it scans nothing.
     """
+    if seed.dimension < 2:
+        raise ValueError("convex_closed_sets needs a 2-dimensional seed")
     points = sorted(universe)
     bit = {q: 1 << i for i, q in enumerate(points)}
     full = (1 << len(points)) - 1
@@ -141,9 +144,6 @@ def convex_closed_sets(
 
     def hull_mask(vertices: tuple[Point, ...]) -> Optional[int]:
         """The universe points in the hull, or None when it escapes."""
-        if len(vertices) == 2:
-            segment = Polygon(vertices).lattice_point_set
-            return sum(bit[q] for q in segment) if segment <= universe else None
         mask, area2, boundary = full, 0, 0
         for edge in zip(vertices, vertices[1:] + vertices[:1]):
             m, a, g = sides.get(edge) or side(*edge)
@@ -152,11 +152,9 @@ def convex_closed_sets(
             boundary += g
         return mask if mask.bit_count() == (area2 + boundary) // 2 + 1 else None
 
-    visited: set[Polygon] = set(seeds)
-    known = {poly.vertices: True for poly in visited}
-    stack = [
-        (poly.vertices, sum(bit[q] for q in poly.lattice_point_set), 0) for poly in visited
-    ]
+    visited = {seed}
+    known = {seed.vertices: True}
+    stack = [(seed.vertices, sum(bit[q] for q in seed.lattice_point_set), 0)]
     while stack:
         vertices, mask, dead = stack.pop()
         children = []
@@ -195,8 +193,8 @@ def enumerate_raw() -> set[Polygon]:
     points and lies inside the 30-point frame (the derivation is in
     ``candidate_point_set``; diameter 2 is covered by ``sporadic_ld2``).
     The frame's convex-closed sets containing the fixed points are walked
-    with ``convex_closed_sets``.  Kept are the two-dimensional results with at
-    least one interior point and lattice width >= 3 (the subject of the
+    with ``convex_closed_sets``.  Kept are the results with at least one
+    interior point and lattice width >= 3 (the subject of the
     census; thinner polygons occur in the frame but belong to the
     separately classified width-1/2 families).  Every output is
     automatically a panoptigon with panoptigon point (0,0).  T_3, of width
@@ -206,8 +204,8 @@ def enumerate_raw() -> set[Polygon]:
     assert seed.lattice_point_set == FIXED_POINTS
     return {
         poly
-        for poly in convex_closed_sets(candidate_point_set(), [seed])
-        if poly.dimension == 2 and poly.genus >= 1 and lattice_width(poly)[0] >= 3
+        for poly in convex_closed_sets(candidate_point_set(), seed)
+        if poly.genus >= 1 and lattice_width(poly)[0] >= 3
     }
 
 
@@ -304,7 +302,7 @@ def sporadic_ld2(exhaustive: bool = True) -> list[CensusRecord]:
             assert container is not None
             walk = convex_closed_sets(
                 container.lattice_point_set,
-                [inner],
+                inner,
                 keep=lambda poly: not has_lattice_segment(poly, 3),
             )
             found.extend(
@@ -353,23 +351,15 @@ def census_summary(nonhyp: list[CensusRecord], lw3plus: list[CensusRecord], raw_
 def genus1_classes() -> tuple[Polygon, ...]:
     """All genus-1 polygons up to equivalence, as sorted canonical forms.
 
-    Bound: every genus-1 polygon is equivalent to a subpolygon of one of the
-    three maximal ones in ``GENUS1_MAXIMAL_VERTICES``, so walking their
-    convex-closed subsets and keeping the genus-1 ones finds every class.
-    Each maximal polygon has (0,0) as its only interior point; its other
-    lattice points lie on its boundary.  A genus-1 subpolygon's interior
-    point is interior to the maximal polygon too, so it is (0,0), and the
-    walk is seeded with {(0,0)} alone.
+    Proof: lw(int P) = lw(P) - 2 unless P is some T_d (Lubbes & Schicho
+    2011; Castryck & Cools).  A genus-1 P has a point as int P, so it is T_3
+    or has width 2.  Then the row argument of ``hyperelliptic_normal_form``
+    works with any width-2 functional: it puts the interior point at (1, 1),
+    the middle row's boundary points (at most (0, 1) and (2, 1)) give the
+    type, and one mirror or flip of the rows reads as a form of genus 1.
     """
-    origin = convex_hull([(0, 0)])
-    return tuple(
-        classes(
-            poly
-            for vertices in GENUS1_MAXIMAL_VERTICES
-            for poly in convex_closed_sets(convex_hull(vertices).lattice_point_set, [origin])
-            if poly.dimension == 2 and poly.genus == 1
-        )
-    )
+    forms = (hyperelliptic_polygon(form) for form in valid_forms(1))
+    return tuple(classes([standard_triangle(3), *forms]))
 
 
 def genus1_lw2_classes() -> list[Polygon]:

@@ -2,9 +2,9 @@
 
 A panoptigon is a convex lattice polygon containing a point from which
 every other lattice point of the polygon is visible.  Polygons of lattice
-width 1 are trapezoids T(a, b); width-2 polygons of genus >= 2 fall into
+width 1 are trapezoids T(a, b); width-2 polygons of genus >= 1 fall into
 three parameterized families living in the strip R x [0, 2] with their g
-interior points at height 1.
+interior points at height 1 (one form per class, except at genus 1).
 """
 
 from __future__ import annotations
@@ -60,12 +60,13 @@ def is_hyperelliptic(poly: Polygon) -> bool:
 
 @dataclass(frozen=True)
 class HyperellipticForm:
-    """Parameters of a genus >= 2 lattice-width-2 polygon.
+    """Parameters of a genus >= 1 lattice-width-2 polygon.
 
     Type1 is the quadrilateral with no lattice vertex at height 1, Type2 the
     pentagon with one, Type3 the hexagon with two.  Type3 triples are stored
     as canonical representatives of the symmetry orbit (i <-> j swap and
-    k <-> 2g+2-i-j-k reflection); see :func:`type3_orbit`.
+    k <-> 2g+2-i-j-k reflection); see :func:`type3_orbit`.  A single interior
+    point (g = 1) fixes no width direction, so several forms give one class.
     """
 
     kind: str  # "Type1" | "Type2" | "Type3"
@@ -94,7 +95,7 @@ def type3_orbit(g: int, i: int, j: int, k: int) -> list[tuple[int, int, int]]:
 
 def is_valid_form(form: HyperellipticForm) -> bool:
     g, i, j, k = form.g, form.i, form.j, form.k
-    if g < 2:
+    if g < 1:
         return False
     if form.kind == "Type1":
         return j == 0 and k == 0 and g <= i <= 2 * g
@@ -108,9 +109,13 @@ def is_valid_form(form: HyperellipticForm) -> bool:
 
 
 def valid_forms(g: int) -> Iterator[HyperellipticForm]:
-    """All hyperelliptic forms of genus g, each equivalence class once."""
-    if g < 2:
-        raise ValueError("hyperelliptic forms require genus >= 2")
+    """All width-2 forms of genus g >= 1.
+
+    Each class appears once for g >= 2; the 22 forms of g = 1 cover the 15
+    width-2 genus-1 classes, several forms to a class.
+    """
+    if g < 1:
+        raise ValueError("width-2 forms require genus >= 1")
     for i in range(g, 2 * g + 1):
         yield HyperellipticForm("Type1", g, i)
     for i in range(0, 2 * g + 2):
@@ -147,11 +152,14 @@ def hyperelliptic_polygon(form: HyperellipticForm) -> Polygon:
 def hyperelliptic_panoptigon_predicate(form: HyperellipticForm) -> bool:
     """Closed-form panoptigon test per family (no brute force).
 
-    Type1 works iff g <= 3; Type2 iff g <= 2 or a one-point bottom row can
-    see everything (j = 0, i <= 1); Type3 needs a short extreme row plus a
-    parity condition on the top-row offset k.
+    At g = 1 the interior point sees all: a point between it and another
+    would be interior too.  Type1 works iff g <= 3; Type2 iff g <= 2 or a
+    one-point bottom row can see everything (j = 0, i <= 1); Type3 needs a
+    short extreme row plus a parity condition on the top-row offset k.
     """
     g, i, j, k = form.g, form.i, form.j, form.k
+    if g == 1:
+        return True
     if form.kind == "Type1":
         return g <= 3
     if form.kind == "Type2":

@@ -98,7 +98,7 @@ def _tested_once(keep):
 def test_closed_sets_match_frozenset_oracle_on_frame():
     frame = candidate_point_set()
     walk = convex_closed_sets(
-        frame, [convex_hull(FIXED_POINTS)], keep=_tested_once(lambda poly: True)
+        frame, convex_hull(FIXED_POINTS), keep=_tested_once(lambda poly: True)
     )
     assert len(walk) == 345
     assert {poly.lattice_point_set for poly in walk} == _closed_sets_oracle(frame, [FIXED_POINTS])
@@ -114,7 +114,7 @@ def test_dead_points_bound_frame_walk_insertions(monkeypatch):
         return hull_insert(vertices, p)
 
     monkeypatch.setattr(census_module, "hull_insert", counted)
-    walk = convex_closed_sets(candidate_point_set(), [convex_hull(FIXED_POINTS)])
+    walk = convex_closed_sets(candidate_point_set(), convex_hull(FIXED_POINTS))
     assert len(walk) == 345
     assert len(calls) <= 3100, len(calls)
 
@@ -125,7 +125,7 @@ def test_escape_count_matches_bbox_oracle_on_frame():
     frame = candidate_point_set()
     seed = convex_hull(FIXED_POINTS)
     states = []
-    walk = convex_closed_sets(frame, [seed], keep=lambda poly: states.append(poly) or True)
+    walk = convex_closed_sets(frame, seed, keep=lambda poly: states.append(poly) or True)
     assert set(states) == walk - {seed} and len(states) == len(walk) - 1
     for poly in states:
         assert poly.lattice_point_set == bbox_lattice_points(poly), poly
@@ -150,11 +150,17 @@ def test_seeded_sporadic_walk_matches_singleton_oracle(a, b):
     inner = trapezoid(a, b)
     universe = relaxed_lattice(inner).lattice_point_set
     keep = _tested_once(lambda poly: lattice_diameter(poly)[0] <= 2)
-    walk = convex_closed_sets(universe, [inner], keep=keep)
+    walk = convex_closed_sets(universe, inner, keep=keep)
     oracle = _closed_sets_oracle(universe, [frozenset({p}) for p in universe], keep=_no_long_segment)
     expected = {s for s in oracle if inner.lattice_point_set <= s}
     assert len(expected) > 1
     assert {poly.lattice_point_set for poly in walk} == expected
+
+
+@pytest.mark.parametrize("seed", [[(0, 0)], [(0, 0), (1, -1)]])
+def test_closed_sets_refuse_a_seed_below_dimension_two(seed):
+    with pytest.raises(ValueError):
+        convex_closed_sets(candidate_point_set(), convex_hull(seed))
 
 
 def test_raw_polygons_all_visible_from_origin_and_small(raw_polygons):
@@ -342,7 +348,7 @@ def test_relax_condition_examples():
 
 
 def test_relax_condition_matches_direct_relaxation():
-    for g in range(2, 8):
+    for g in range(1, 8):
         for form in valid_forms(g):
             direct = relaxed_lattice(hyperelliptic_polygon(form)) is not None
             assert relax_condition(form) == direct, form

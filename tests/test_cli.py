@@ -209,6 +209,13 @@ def test_analyze_table_hyperelliptic_form_row(capsys, text, form):
     assert "%-*s  %s" % (width, "hyperelliptic form", form) in table.splitlines()
 
 
+def test_analyze_single_vertex_with_negative_x_after_double_dash(capsys):
+    # A lone "-3,2" reads as an option; after "--" it is the polygon.
+    code, out, _ = run(["analyze", "--", "-3,2"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["polygon"]["vertices"] == [[-3, 2]]
+
+
 def test_analyze_parse_error(capsys):
     code, _, err = run(["analyze", "0,0 zap"], capsys)
     assert code == EXIT_USAGE
