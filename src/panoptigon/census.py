@@ -10,16 +10,15 @@ the 71 panoptigon classes of lattice width >= 3.  The degree-3 triangle
 T_3 is the frame's one hyperelliptic raw polygon, and the other 70 are
 non-hyperelliptic (67 of them with lattice diameter >= 3).  The quoted
 69/72/73 count two pairs of unimodularly equivalent polygons as separate
-classes.
+classes.  ``CensusRecord`` and ``ObstructionVerdict`` are NamedTuples.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .classify import (
     HyperellipticForm,
@@ -209,8 +208,7 @@ def enumerate_raw() -> set[Polygon]:
     }
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """A canonical polygon plus classification metadata, all recomputable."""
 
     canonical: Polygon
@@ -432,8 +430,7 @@ def maximal_polygons(g: int, width: int) -> list[Polygon]:
     )
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     passes: bool
     reason: Optional[str] = None
 

@@ -5,20 +5,19 @@ every other lattice point of the polygon is visible.  Polygons of lattice
 width 1 are trapezoids T(a, b); width-2 polygons of genus >= 1 fall into
 three parameterized families living in the strip R x [0, 2] with their g
 interior points at height 1 (one form per class, except at genus 1).
+``PanoptigonReport`` and ``HyperellipticForm`` are NamedTuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Point, Polygon, convex_hull, is_visible, segment_ends
 from .transform import _ext_gcd
 
 
-@dataclass(frozen=True)
-class PanoptigonReport:
+class PanoptigonReport(NamedTuple):
     is_panoptigon: bool
     panoptigon_points: frozenset[Point]
 
@@ -58,8 +57,15 @@ def is_hyperelliptic(poly: Polygon) -> bool:
     return inner is None or inner.dimension <= 1
 
 
-@dataclass(frozen=True)
-class HyperellipticForm:
+class _Form(NamedTuple):
+    kind: str  # "Type1" | "Type2" | "Type3"
+    g: int
+    i: int
+    j: int = 0
+    k: int = 0
+
+
+class HyperellipticForm(_Form):
     """Parameters of a genus >= 1 lattice-width-2 polygon.
 
     Type1 is the quadrilateral with no lattice vertex at height 1, Type2 the
@@ -69,15 +75,13 @@ class HyperellipticForm:
     point (g = 1) fixes no width direction, so several forms give one class.
     """
 
-    kind: str  # "Type1" | "Type2" | "Type3"
-    g: int
-    i: int
-    j: int = 0
-    k: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_valid_form(self):
-            raise ValueError("invalid hyperelliptic form parameters: %r" % (self,))
+    def __new__(cls, kind: str, g: int, i: int, j: int = 0, k: int = 0):
+        form = super().__new__(cls, kind, g, i, j, k)
+        if not is_valid_form(form):
+            raise ValueError("invalid hyperelliptic form parameters: %r" % (form,))
+        return form
 
     def lattice_point_count(self) -> int:
         if self.kind == "Type1":

@@ -36,7 +36,6 @@ from .formats import (
     resolve_polygon_source,
 )
 from .relaxation import is_maximal, relax
-from .render import RenderError, render_svg
 from .transform import Functional, canonical_form, lattice_diameter, lattice_width
 
 EXIT_OK = 0
@@ -228,6 +227,8 @@ def cmd_census(args) -> int:
 
 
 def _write_svg(poly: Polygon, path: str, relaxed: bool) -> int:
+    from .render import RenderError, render_svg
+
     try:
         Path(path).write_text(render_svg(poly, relaxed=relaxed))
     except (RenderError, OSError) as exc:

@@ -11,6 +11,7 @@ when relax(P) is a lattice polygon.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from math import gcd, lcm
 from typing import Optional
 
@@ -25,9 +26,11 @@ GENUS1_MAXIMAL_VERTICES = (
     ((-1, -1), (1, -1), (1, 1), (-1, 1)),
     ((-1, -1), (3, -1), (-1, 1)),
 )
-_GENUS1_MAXIMAL_FORMS = frozenset(
-    canonical_form(convex_hull(vertices)) for vertices in GENUS1_MAXIMAL_VERTICES
-)
+
+
+@cache
+def _genus1_maximal_forms() -> frozenset[Polygon]:
+    return frozenset(canonical_form(convex_hull(v)) for v in GENUS1_MAXIMAL_VERTICES)
 
 
 def relax(poly: Polygon) -> tuple[Polygon, int]:
@@ -112,5 +115,5 @@ def is_maximal(poly: Polygon) -> bool:
     if inner.dimension == 2:
         return relaxed_lattice(inner) == poly
     if inner.dimension == 0:
-        return canonical_form(poly) in _GENUS1_MAXIMAL_FORMS
+        return canonical_form(poly) in _genus1_maximal_forms()
     return all(poly.contains(e) and e not in poly.vertices for e in segment_ends(inner))

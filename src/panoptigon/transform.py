@@ -1,14 +1,14 @@
 """Unimodular maps, lattice width/diameter, and canonical forms.
 
 A unimodular map is x -> A*x + t with A an integer 2x2 matrix of
-determinant +-1; two polygons are equivalent when such a map carries one
-onto the other.  Widths are measured by primitive integer functionals
+determinant +-1, held as the NamedTuple (matrix, translation) and checked
+when built; two polygons are equivalent when such a map carries one onto
+the other.  Widths are measured by primitive integer functionals
 (alpha, beta), evaluated as alpha*x + beta*y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, groupby
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -36,17 +36,21 @@ class Functional(NamedTuple):
         return "%d,%d" % (self.alpha, self.beta)
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
-    """Affine lattice automorphism p -> A*p + t with det(A) = +-1."""
-
+class _Map(NamedTuple):
     matrix: tuple[tuple[int, int], tuple[int, int]]
     translation: Point = (0, 0)
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.matrix
-        if a * d - b * c not in (1, -1):
+
+class UnimodularMap(_Map):
+    """Affine lattice automorphism p -> A*p + t with det(A) = +-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, matrix, translation: Point = (0, 0)):
+        m = super().__new__(cls, matrix, translation)
+        if m.determinant not in (1, -1):
             raise ValueError("matrix determinant must be +1 or -1")
+        return m
 
     @property
     def determinant(self) -> int:

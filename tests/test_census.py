@@ -9,6 +9,7 @@ from panoptigon.census import (
     GENUS_BOUND_CENSUS,
     SPORADIC_CONTAINER_TRAPEZOIDS,
     CensusRecord,
+    ObstructionVerdict,
     big_face_obstruction,
     candidate_point_set,
     census_summary,
@@ -23,6 +24,7 @@ from panoptigon.census import (
     sporadic_ld2,
 )
 from panoptigon.classify import (
+    HyperellipticForm,
     hyperelliptic_count,
     hyperelliptic_polygon,
     is_hyperelliptic,
@@ -34,6 +36,7 @@ from panoptigon.classify import (
 from panoptigon.core import Polygon, convex_hull, hull_insert
 from panoptigon.relaxation import is_maximal, relaxed_lattice
 from panoptigon.transform import (
+    UnimodularMap,
     canonical_form,
     has_lattice_segment,
     lattice_diameter,
@@ -396,6 +399,27 @@ def test_obstruction_verdicts():
     verdict = big_face_obstruction(big)
     assert not verdict.passes
     assert "13" in verdict.reason
+    # a failing verdict is falsy, although it is a non-empty tuple
+    assert not verdict and not bool(ObstructionVerdict(False, "x"))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: is_panoptigon(standard_triangle(3)),
+        lambda: HyperellipticForm("Type1", 2, 2),
+        lambda: UnimodularMap(((1, 1), (0, 1)), (3, -2)),
+        lambda: CensusRecord.from_polygon(canonical_form(standard_triangle(3))),
+        lambda: ObstructionVerdict(True),
+    ],
+)
+def test_records_refuse_field_assignment(make):
+    """Fields are read-only, and no record carries a ``__dict__`` for new attributes."""
+    record = make()
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    assert not hasattr(record, "__dict__")
 
 
 def test_obstruction_rejects_low_genus():

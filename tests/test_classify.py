@@ -82,7 +82,16 @@ def test_form_validation():
         HyperellipticForm(kind="Type1", g=2, i=1)  # i below g
     with pytest.raises(ValueError):
         HyperellipticForm(kind="Type2", g=2, i=1, j=2)  # j above i
+    with pytest.raises(ValueError):
+        HyperellipticForm("Type1", 2, 1)  # positional arguments are checked too
     HyperellipticForm(kind="Type3", g=2, i=0, j=0, k=1)
+
+
+def test_form_repr_and_hash_are_pinned():
+    """The repr names every field, and the hash is that of the field tuple."""
+    form = HyperellipticForm("Type2", 3, 2, 1)
+    assert repr(form) == "HyperellipticForm(kind='Type2', g=3, i=2, j=1, k=0)"
+    assert hash(form) == hash(("Type2", 3, 2, 1, 0))
 
 
 def test_form_counts_match_closed_formula():

@@ -209,6 +209,14 @@ def test_analyze_table_hyperelliptic_form_row(capsys, text, form):
     assert "%-*s  %s" % (width, "hyperelliptic form", form) in table.splitlines()
 
 
+def test_analyze_json_writes_the_form_as_an_object(capsys):
+    """The width-2 form is a tuple, but JSON gets it as an object, not a list."""
+    code, out, _ = run(["analyze", "0,0 10,0 10,2 0,2"], capsys)
+    assert code == EXIT_OK
+    form = {"kind": "Type3", "g": 9, "i": 10, "j": 10, "k": 0}
+    assert json.loads(out)["hyperelliptic_form"] == form
+
+
 def test_analyze_single_vertex_with_negative_x_after_double_dash(capsys):
     # A lone "-3,2" reads as an option; after "--" it is the polygon.
     code, out, _ = run(["analyze", "--", "-3,2"], capsys)

@@ -1,6 +1,9 @@
 """Static checks on the package source, using only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -144,3 +147,31 @@ def test_src_uses_integer_arithmetic_only():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_src_imports_no_dataclasses():
+    """The records are NamedTuples: no module of the package imports ``dataclasses``."""
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if "dataclasses" in imported_modules(path.read_text())
+    ]
+    assert found == []
+
+
+def test_fresh_import_loads_no_dataclasses_inspect_or_render():
+    """``import panoptigon, panoptigon.cli`` in a new interpreter leaves these modules unloaded.
+
+    A subprocess, because pytest itself has loaded ``dataclasses``; only the
+    modules the import adds are checked.
+    """
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import panoptigon, panoptigon.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'panoptigon.render'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
