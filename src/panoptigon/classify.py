@@ -14,7 +14,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .core import Point, Polygon, convex_hull, is_visible, segment_ends
-from .transform import _ext_gcd
+from .transform import axis_coords
 
 
 class PanoptigonReport(NamedTuple):
@@ -178,7 +178,7 @@ def hyperelliptic_normal_form(poly: Polygon) -> HyperellipticForm:
 
     A width-2 functional is constant on the interior segment u..v, so it is
     the normal of the segment's primitive direction d; the width is checked
-    on it.  A unimodular map from ``_ext_gcd`` sends d to (1, 0), and a
+    on it.  ``axis_coords`` sends u to (0, 0) and d to (1, 0), and a
     translation and a shear fixing the middle row put the interior at
     (1..g, 1) and start the bottom row at (0, 0).  The middle row's
     boundary points can only be u - d and v + d (a point of P beyond
@@ -195,9 +195,7 @@ def hyperelliptic_normal_form(poly: Polygon) -> HyperellipticForm:
     inner = poly.interior_polygon()
     (ux, uy), (vx, vy) = inner.vertices
     dx, dy = (vx - ux) // (g - 1), (vy - uy) // (g - 1)
-    _, a, b = _ext_gcd(dx, dy)
-    rel = [(x - ux, y - uy) for x, y in poly.vertices]
-    rows = [(a * x + b * y, dx * y - dy * x) for x, y in rel]
+    rows = axis_coords(poly.vertices, (ux, uy), (dx, dy))
     if max(y for _, y in rows) - min(y for _, y in rows) != 2:
         raise ValueError("normal form requires lattice width 2")
     ends = sum(poly.contains(e) for e in segment_ends(inner))

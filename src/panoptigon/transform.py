@@ -4,14 +4,16 @@ A unimodular map is x -> A*x + t with A an integer 2x2 matrix of
 determinant +-1, held as the NamedTuple (matrix, translation) and checked
 when built; two polygons are equivalent when such a map carries one onto
 the other.  Widths are measured by primitive integer functionals
-(alpha, beta), evaluated as alpha*x + beta*y.
+(alpha, beta), evaluated as alpha*x + beta*y.  ``axis_coords`` is the one
+map from a primitive direction to the x-axis, shared by canonical forms
+and the width-2 normal forms of ``classify``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, groupby
 from math import gcd, isqrt
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import Point, Polygon, convex_hull
 
@@ -183,33 +185,32 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
-def _candidates(poly: Polygon):
-    """Normalized vertex sequences, one per directed hull edge.
+def axis_coords(points: Iterable[Point], origin: Point, d: Point) -> list[Point]:
+    """The points in the frame sending ``origin`` to (0, 0) and primitive d to (1, 0).
 
-    The map sends the edge start to the origin and the primitive edge vector
-    to (1, 0), putting the polygon in the upper half-plane; the leftover
-    horizontal shear is pinned by forcing the first vertex above the axis
-    into x in [0, y).
+    With p*dx + q*dy = 1, a point at offset (x, y) from the origin goes to
+    (p*x + q*y, dx*y - dy*x): the determinant is 1, and the functional
+    (-dy, dx) becomes y.
     """
-    vs = poly.vertices
-    n = len(vs)
-    for i in range(n):
-        vx, vy = vs[i]
-        wx, wy = vs[(i + 1) % n]
-        dx, dy = wx - vx, wy - vy
-        g = gcd(abs(dx), abs(dy))
-        dx, dy = dx // g, dy // g
-        _, p, q = _ext_gcd(dx, dy)
-        imgs = []
-        for j in range(n):
-            x, y = vs[(i + j) % n]
-            x, y = x - vx, y - vy
-            imgs.append((p * x + q * y, -dy * x + dx * y))
-        k = None
-        for x, y in imgs:
-            if y > 0:
-                k = x // y
-                break
+    (ox, oy), (dx, dy) = origin, d
+    _, p, q = _ext_gcd(dx, dy)
+    return [(p * (x - ox) + q * (y - oy), dx * (y - oy) - dy * (x - ox)) for x, y in points]
+
+
+def _candidates(vs: tuple[Point, ...]):
+    """Normalized vertex sequences, one per directed edge of the CCW vertices vs.
+
+    ``axis_coords`` sends the edge start to the origin and the primitive edge
+    vector to (1, 0), putting the polygon in the upper half-plane; the
+    leftover horizontal shear is pinned by forcing the next vertex, above
+    the axis as no three vertices are collinear, into x in [0, y).
+    """
+    for i in range(len(vs)):
+        turned = vs[i:] + vs[:i]
+        (vx, vy), (wx, wy) = turned[:2]
+        g = gcd(abs(wx - vx), abs(wy - vy))
+        imgs = axis_coords(turned, (vx, vy), ((wx - vx) // g, (wy - vy) // g))
+        k = imgs[2][0] // imgs[2][1]
         yield tuple((x - k * y, y) for x, y in imgs)
 
 
@@ -217,11 +218,12 @@ def canonical_form(poly: Polygon) -> Polygon:
     """Distinguished representative of the unimodular equivalence class.
 
     Takes the lexicographically least normalized vertex sequence over all
-    directed edges of P and of its mirror image; the candidate set is
-    equivariant under the group, so the minimum is a class invariant.
+    directed edges of P and of its mirror image (x, y) -> (x, -y), whose
+    reversed vertices are CCW again; the candidate set is equivariant under
+    the group, so the minimum is a class invariant.
     """
     if poly.dimension != 2:
         raise ValueError("canonical form requires dimension 2")
-    mirror = convex_hull((x, -y) for x, y in poly.vertices)
-    best = min(min(_candidates(poly)), min(_candidates(mirror)))
-    return Polygon(best)
+    vs = poly.vertices
+    mirror = tuple((x, -y) for x, y in reversed(vs))
+    return Polygon(min(min(_candidates(vs)), min(_candidates(mirror))))

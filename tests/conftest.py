@@ -268,6 +268,15 @@ def corollary_lw12_check() -> dict:
     for integrality, so b <= 6), genus-1 width-2 polygons, and the width-2
     forms that are panoptigons and pass the integrality condition.  The
     bound asserted downstream is 11.
+
+    Bound lemma: no width-2 form of genus g >= 4 passes both
+    ``hyperelliptic_panoptigon_predicate`` and ``relax_condition``, so the
+    forms are walked for g = 2 and 3 only.  Type1 is a panoptigon only for
+    g <= 3.  For g >= 3, a Type2 panoptigon needs j = 0 and a Type3
+    panoptigon needs i = 0 or j = 0, while ``relax_condition`` needs
+    2i >= g - 1 and 2j >= g - 1, so i, j >= 1: neither family passes.
+    Genus 2 gives 8 forms (at most 10 points) and genus 3 the 3 Type1
+    forms with i <= 5 (3g + 2 = 11 points).
     """
     counts: list[tuple[str, int]] = []
     for b in range(1, 7):
@@ -278,7 +287,7 @@ def corollary_lw12_check() -> dict:
     for poly in genus1_lw2_classes():
         counts.append(("genus-1 %s" % (poly,), len(poly.lattice_point_set)))
     height1_free = 0
-    for g in range(2, 9):
+    for g in (2, 3):
         for form in valid_forms(g):
             if hyperelliptic_panoptigon_predicate(form) and relax_condition(form):
                 polygon = hyperelliptic_polygon(form)

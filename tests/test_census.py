@@ -26,6 +26,7 @@ from panoptigon.census import (
 from panoptigon.classify import (
     HyperellipticForm,
     hyperelliptic_count,
+    hyperelliptic_panoptigon_predicate,
     hyperelliptic_polygon,
     is_hyperelliptic,
     is_panoptigon,
@@ -387,10 +388,53 @@ def test_maximal_polygons_complete_by_growth():
     assert len(genus2) == hyperelliptic_count(2)
 
 
+def test_castryck_genus_table_by_moving_out_edges(census):
+    """Lattice polygons of genus 2..7, counted without the 30-point frame.
+
+    Interior-polygon lemma (Koelman 1991; Haase & Schicho, "Lattice
+    polygons and the number 2i + 7", Amer. Math. Monthly 2009; Castryck,
+    "Moving out the edges of a lattice polygon", DCG 47, 2012): a
+    2-dimensional lattice polygon Q is the interior polygon of a lattice
+    polygon exactly when relax(Q) is a lattice polygon, and every P with
+    int P = Q lies between Q and relax(Q).  So the genus-g polygons with a
+    2-dimensional interior are the convex-closed sets of relax(Q)'s lattice
+    points that contain a Q with g points and have genus g; the collinear
+    interiors add ``hyperelliptic_count(g)``.  The totals 45, 120, 211, 403,
+    714 and 1,023 are what this route gives; they match the genus table of
+    Castryck 2012 as recalled, since no copy of the paper is at hand.  The
+    panoptigons among them are the census's non-hyperelliptic records,
+    genus by genus.
+    """
+    nonhyp, _ = census
+    relaxed = {q: relaxed_lattice(q) for q in grow(max_points=7)}
+    totals, panoptigons = {}, {}
+    for g in range(2, 8):
+        polys = classes(
+            p
+            for q, r in relaxed.items()
+            if r is not None and len(q.lattice_point_set) == g
+            for p in convex_closed_sets(r.lattice_point_set, q)
+            if p.genus == g
+        )
+        totals[g] = len(polys) + hyperelliptic_count(g)
+        seen = {p for p in polys if is_panoptigon(p).is_panoptigon}
+        assert seen == {r.canonical for r in nonhyp if r.genus == g}, g
+        panoptigons[g] = len(seen)
+    assert totals == {2: 45, 3: 120, 4: 211, 5: 403, 6: 714, 7: 1023}
+    assert panoptigons == {2: 0, 3: 14, 4: 11, 5: 17, 6: 12, 7: 5}
+
+
 def test_corollary_bound():
     report = corollary_lw12_check()
     assert report["max_count"] <= 11
     assert report["forms_without_height1_point"] == 0
+    # The bound lemma of ``corollary_lw12_check``: nothing above genus 3.
+    assert not [
+        form
+        for g in range(4, 13)
+        for form in valid_forms(g)
+        if hyperelliptic_panoptigon_predicate(form) and relax_condition(form)
+    ]
 
 
 def test_obstruction_verdicts():

@@ -175,3 +175,31 @@ def test_fresh_import_loads_no_dataclasses_inspect_or_render():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names imported from another module of the package."""
+    return sorted(
+        "%s (line %d)" % (alias.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "panoptigon")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_imports_detected():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .core import Polygon, _primitive\n"
+        "from panoptigon.transform import _ext_gcd\n"
+    )
+    assert private_imports(source) == ["_ext_gcd (line 4)", "_primitive (line 3)"]
+
+
+def test_src_imports_no_private_names():
+    """No module of the package reads another module's underscore-prefixed names."""
+    found = {path.name: private_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

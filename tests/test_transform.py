@@ -1,11 +1,14 @@
 import random
+from math import gcd
 
 import pytest
 
+from panoptigon import core
 from panoptigon.core import convex_hull
 from panoptigon.transform import (
     Functional,
     UnimodularMap,
+    axis_coords,
     canonical_form,
     has_lattice_segment,
     lattice_diameter,
@@ -137,6 +140,42 @@ def test_canonical_form_idempotent_and_invariant():
         assert canonical_form(canon) == canon
         m = random_unimodular_map(rng)
         assert canonical_form(m(poly)) == canon
+
+
+def twice_area(a, b, c) -> int:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def test_axis_coords_sends_the_direction_to_the_x_axis():
+    rng = random.Random(3303)
+    for _ in range(300):
+        dx, dy = 0, 0
+        while gcd(dx, dy) != 1:
+            dx, dy = rng.randint(-40, 40), rng.randint(-40, 40)
+        ox, oy = rng.randint(-50, 50), rng.randint(-50, 50)
+        pts = [(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(6)]
+        imgs = axis_coords([(ox, oy), (ox + dx, oy + dy), *pts], (ox, oy), (dx, dy))
+        assert imgs[:2] == [(0, 0), (1, 0)]
+        assert [y for _, y in imgs[2:]] == [dx * (y - oy) - dy * (x - ox) for x, y in pts]
+        # Signed doubled areas of two triangles: the determinant is +1.
+        assert [twice_area(*imgs[2:5]), twice_area(*imgs[5:])] == [twice_area(*pts[:3]), twice_area(*pts[3:])]
+
+
+def test_canonical_form_builds_no_hull(census, monkeypatch):
+    """The mirror image is the reflected, reversed vertex tuple: no hull is built."""
+    _, lw3plus = census
+    calls = []
+    hull_vertices = core.hull_vertices
+
+    def counting_hull(points):
+        points = list(points)
+        calls.append(points)
+        return hull_vertices(points)
+
+    monkeypatch.setattr(core, "hull_vertices", counting_hull)
+    for record in lw3plus:
+        assert canonical_form(record.canonical) == record.canonical
+    assert len(lw3plus) == 71 and calls == []
 
 
 def test_canonical_form_rejects_degenerate():
